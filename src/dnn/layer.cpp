@@ -113,6 +113,13 @@ Layer::has_weights() const
     return param_count() > 0;
 }
 
+bool
+same_shape(const Layer& a, const Layer& b)
+{
+    return a.kind == b.kind && a.dims == b.dims && a.stride == b.stride &&
+           a.in_h == b.in_h && a.in_w == b.in_w;
+}
+
 namespace {
 
 std::int64_t

@@ -42,6 +42,8 @@ struct LoopDims {
 
     /// Product of all extents = number of MAC-equivalent operations.
     std::int64_t volume() const;
+
+    bool operator==(const LoopDims&) const = default;
 };
 
 /// Identifier for the seven canonical loop dimensions.
@@ -80,6 +82,11 @@ struct Layer {
     /// True for layers that carry trainable weights.
     bool has_weights() const;
 };
+
+/// True when \p a and \p b agree on every field but `name`: kind, all
+/// seven extents, stride and input geometry, which is everything the
+/// dataflow cost model reads. Such layers cost the same under any mapping.
+bool same_shape(const Layer& a, const Layer& b);
 
 /// Factory helpers -----------------------------------------------------
 

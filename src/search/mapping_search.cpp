@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -14,29 +15,68 @@ namespace chrysalis::search {
 
 namespace {
 
-/// Worst-case Eq. 8 overshoot of a layer's tiles across all environments;
-/// 0 when the layer is feasible everywhere.
-double
-layer_violation(const dataflow::LayerCost& cost,
-                const std::vector<sim::EnergyEnv>& envs)
+constexpr double kInfinity = std::numeric_limits<double>::infinity();
+
+/// The Eq. 8 budget terms of every environment, built once per call.
+///
+/// They are built when the first feasible layer cost is checked, walking
+/// the environments in order and stopping at the first leakage-dominated
+/// one: exactly as far as a check that rebuilt them per candidate would
+/// walk, so hoisting validates no environment that check would not reach.
+class EnvBudgets
 {
-    if (!cost.feasible)
-        return std::numeric_limits<double>::infinity();
-    double worst = 0.0;
-    for (const auto& env : envs) {
-        if (sim::effective_power(env) <= 0.0)
-            return std::numeric_limits<double>::infinity();
-        const double budget = sim::cycle_budget(env, cost.tile_time_s());
-        worst = std::max(worst, cost.tile_energy_j() - budget);
+  public:
+    explicit EnvBudgets(const std::vector<sim::EnergyEnv>& envs)
+        : envs_(envs)
+    {
     }
-    return std::max(0.0, worst);
-}
+
+    /// Worst-case Eq. 8 overshoot of a layer's tiles across all
+    /// environments; 0 when the layer is feasible everywhere.
+    double
+    violation(const dataflow::LayerCost& cost)
+    {
+        if (!cost.feasible)
+            return kInfinity;
+        if (!built_)
+            build();
+        if (leakage_dominated_)
+            return kInfinity;
+        const double tile_energy_j = cost.tile_energy_j();
+        const double tile_time_s = cost.tile_time_s();
+        double worst = 0.0;
+        for (const auto& budget : budgets_) {
+            worst = std::max(worst,
+                             tile_energy_j - budget.for_tile(tile_time_s));
+        }
+        return std::max(0.0, worst);
+    }
+
+  private:
+    void
+    build()
+    {
+        built_ = true;
+        for (const auto& env : envs_) {
+            if (sim::effective_power(env) <= 0.0) {
+                leakage_dominated_ = true;
+                return;
+            }
+            budgets_.push_back(sim::cycle_budget_terms(env));
+        }
+    }
+
+    const std::vector<sim::EnergyEnv>& envs_;
+    std::vector<sim::CycleBudget> budgets_;
+    bool built_ = false;
+    bool leakage_dominated_ = false;
+};
 
 /// Scores one (layer, mapping): first by feasibility, then by energy.
 struct ScoredMapping {
     dataflow::LayerMapping mapping;
     dataflow::LayerCost cost;
-    double violation = std::numeric_limits<double>::infinity();
+    double violation = kInfinity;
 
     bool
     better_than(const ScoredMapping& other) const
@@ -57,48 +97,51 @@ struct ScoredMapping {
 
 ScoredMapping
 score_mapping(const dnn::Layer& layer, const dataflow::LayerMapping& mapping,
-              const dataflow::CostParams& params,
-              const std::vector<sim::EnergyEnv>& envs)
+              const dataflow::CostParams& params, EnvBudgets& budgets)
 {
     ScoredMapping scored;
     scored.mapping = mapping;
     scored.cost = dataflow::analyze_layer(layer, mapping, params);
-    scored.violation = scored.cost.feasible
-        ? layer_violation(scored.cost, envs)
-        : std::numeric_limits<double>::infinity();
+    scored.violation = budgets.violation(scored.cost);
     return scored;
 }
 
-ScoredMapping
-search_layer_exhaustive(const dnn::Layer& layer,
-                        const std::vector<dataflow::Dataflow>& dataflows,
-                        const dataflow::CostParams& params,
-                        const std::vector<sim::EnergyEnv>& envs,
-                        const MappingSearchOptions& options,
-                        std::int64_t& evaluations)
+/// The exhaustive choice for one layer shape.
+struct RankedShape {
+    const dnn::Layer* layer = nullptr;  ///< first layer of this shape
+    ScoredMapping best;
+    std::int64_t candidates = 0;  ///< size of the shape's mapping grid
+};
+
+/// Ranks the whole mapping grid of \p layer; among equals the first
+/// candidate in enumerate_mappings() order wins.
+RankedShape
+rank_exhaustive(const dnn::Layer& layer,
+                const std::vector<dataflow::Dataflow>& dataflows,
+                const dataflow::CostParams& params, EnvBudgets& budgets,
+                const MappingSearchOptions& options)
 {
     const auto candidates = dataflow::enumerate_mappings(
         layer, dataflows, options.max_candidates_per_dim);
-    ScoredMapping best;
-    bool first = true;
-    for (const auto& mapping : candidates) {
-        ScoredMapping scored = score_mapping(layer, mapping, params, envs);
-        ++evaluations;
-        if (first || scored.better_than(best)) {
-            best = std::move(scored);
-            first = false;
-        }
+    if (candidates.empty())
+        panic("rank_exhaustive: no candidates for ", layer.name);
+    RankedShape ranked;
+    ranked.layer = &layer;
+    ranked.candidates = static_cast<std::int64_t>(candidates.size());
+    ranked.best = score_mapping(layer, candidates.front(), params, budgets);
+    for (std::size_t c = 1; c < candidates.size(); ++c) {
+        ScoredMapping scored =
+            score_mapping(layer, candidates[c], params, budgets);
+        if (scored.better_than(ranked.best))
+            ranked.best = std::move(scored);
     }
-    if (first)
-        panic("search_layer_exhaustive: no candidates for ", layer.name);
-    return best;
+    return ranked;
 }
 
 ScoredMapping
 search_layer_genetic(const dnn::Layer& layer,
                      const std::vector<dataflow::Dataflow>& dataflows,
-                     const dataflow::CostParams& params,
-                     const std::vector<sim::EnergyEnv>& envs,
+                     const dataflow::CostParams& params, EnvBudgets& budgets,
                      const MappingSearchOptions& options,
                      std::int64_t& evaluations, Rng& rng)
 {
@@ -148,7 +191,7 @@ search_layer_genetic(const dnn::Layer& layer,
     population.reserve(static_cast<std::size_t>(options.ga_population));
     for (int i = 0; i < options.ga_population; ++i) {
         population.push_back(
-            score_mapping(layer, random_mapping(), params, envs));
+            score_mapping(layer, random_mapping(), params, budgets));
         ++evaluations;
     }
     const auto better = [](const ScoredMapping& a, const ScoredMapping& b) {
@@ -162,7 +205,7 @@ search_layer_genetic(const dnn::Layer& layer,
                 population[static_cast<std::size_t>(rng.uniform_int(
                     0, static_cast<std::int64_t>(keep) - 1))];
             population[i] =
-                score_mapping(layer, mutate(parent.mapping), params, envs);
+                score_mapping(layer, mutate(parent.mapping), params, budgets);
             ++evaluations;
         }
     }
@@ -186,19 +229,40 @@ search_mappings(const dnn::Model& model,
     if (dataflows.empty())
         panic("search_mappings: hardware supports no dataflows");
 
+    EnvBudgets budgets(envs);
     Rng rng(options.seed);
     MappingSearchResult result;
     result.mappings.reserve(model.layer_count());
     result.feasible = true;
 
+    // The exhaustive choice depends on a layer only through its shape, so
+    // a layer repeating an earlier shape takes that shape's choice. The
+    // genetic strategy draws one RNG stream layer by layer and ranks
+    // every layer.
+    std::vector<RankedShape> shapes;
+    std::int64_t reused = 0;  // evaluations taken over, not analyzed
     for (std::size_t i = 0; i < model.layer_count(); ++i) {
         const dnn::Layer& layer = model.layer(i);
-        ScoredMapping best =
-            options.strategy == MappingSearchOptions::Strategy::kExhaustive
-                ? search_layer_exhaustive(layer, dataflows, params, envs,
-                                          options, result.evaluations)
-                : search_layer_genetic(layer, dataflows, params, envs,
-                                       options, result.evaluations, rng);
+        ScoredMapping best;
+        if (options.strategy ==
+            MappingSearchOptions::Strategy::kExhaustive) {
+            auto shape = std::find_if(
+                shapes.begin(), shapes.end(), [&](const RankedShape& seen) {
+                    return dnn::same_shape(*seen.layer, layer);
+                });
+            if (shape == shapes.end()) {
+                shapes.push_back(rank_exhaustive(layer, dataflows, params,
+                                                 budgets, options));
+                shape = std::prev(shapes.end());
+            } else {
+                reused += shape->candidates;
+            }
+            best = shape->best;
+            result.evaluations += shape->candidates;
+        } else {
+            best = search_layer_genetic(layer, dataflows, params, budgets,
+                                        options, result.evaluations, rng);
+        }
         if (best.violation > 0.0) {
             result.feasible = false;
             result.violation_j += std::isfinite(best.violation)
@@ -243,6 +307,8 @@ search_mappings(const dnn::Model& model,
         registry->counter("search/inner/searches").add(1);
         registry->counter("search/inner/evaluations")
             .add(static_cast<std::uint64_t>(result.evaluations));
+        registry->counter("search/inner/analyses")
+            .add(static_cast<std::uint64_t>(result.evaluations - reused));
     }
     return result;
 }

@@ -11,8 +11,9 @@
 /// in both the brighter and the darker environment).
 ///
 /// Two strategies are provided: bounded exhaustive enumeration per layer
-/// (layers are independent given the hardware and environments) and a
-/// GAMMA-style per-layer genetic search for very large tiling spaces.
+/// (layers are independent given the hardware and environments, so layers
+/// of equal shape share one ranking) and a GAMMA-style per-layer genetic
+/// search for very large tiling spaces.
 
 #ifndef CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
 #define CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
@@ -47,7 +48,11 @@ struct MappingSearchResult {
     dataflow::ModelCost cost;   ///< cost under the chosen mappings
     double violation_j = 0.0;   ///< total Eq. 8 overshoot when infeasible
     fault::SimFailure failure;  ///< why the search failed, when infeasible
-    std::int64_t evaluations = 0;  ///< layer-cost evaluations performed
+    /// (layer, candidate) pairs ranked. A layer that takes the choice of
+    /// an earlier layer of the same shape counts its whole grid again, so
+    /// the count does not depend on shape reuse; the metrics counter
+    /// `search/inner/analyses` counts the cost-model calls actually made.
+    std::int64_t evaluations = 0;
 };
 
 /// Runs the SW-level mapping search.

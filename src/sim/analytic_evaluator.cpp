@@ -45,11 +45,19 @@ effective_power(const EnergyEnv& env)
            pmic.quiescent_power() * pmic.discharge_efficiency();
 }
 
+CycleBudget
+cycle_budget_terms(const EnergyEnv& env)
+{
+    CycleBudget budget;
+    budget.store_j = cycle_store_energy(env);
+    budget.p_charge_w = std::max(0.0, effective_power(env));
+    return budget;
+}
+
 double
 cycle_budget(const EnergyEnv& env, double tile_time_s)
 {
-    return cycle_store_energy(env) +
-           std::max(0.0, effective_power(env)) * tile_time_s;
+    return cycle_budget_terms(env).for_tile(tile_time_s);
 }
 
 std::int64_t
@@ -58,10 +66,9 @@ min_tiles_eq9(double e_body_j, double t_body_s, double e_ckpt_tile_j,
 {
     if (e_body_j < 0.0 || t_body_s < 0.0 || e_ckpt_tile_j < 0.0)
         fatal("min_tiles_eq9: negative inputs");
-    const double store = cycle_store_energy(env);
-    const double p_eff = std::max(0.0, effective_power(env));
-    const double numerator = e_body_j - p_eff * t_body_s;
-    const double denominator = store - e_ckpt_tile_j;
+    const CycleBudget budget = cycle_budget_terms(env);
+    const double numerator = e_body_j - budget.p_charge_w * t_body_s;
+    const double denominator = budget.store_j - e_ckpt_tile_j;
     if (numerator <= 0.0)
         return 1;  // harvest alone powers the layer: no split required
     if (denominator <= 0.0)

@@ -69,8 +69,25 @@ double cycle_store_energy(const EnergyEnv& env);
 /// May be negative when leakage dominates.
 double effective_power(const EnergyEnv& env);
 
+/// The environment-invariant terms of the per-cycle budget (Eq. 3 + Eq. 8
+/// feasibility bound), so a caller checking many tiles against one
+/// environment builds them once.
+struct CycleBudget {
+    double store_j = 0.0;     ///< cycle_store_energy(env)
+    double p_charge_w = 0.0;  ///< effective_power(env), floored at 0
+
+    /// Budget available to a tile whose active time is \p tile_time_s.
+    double for_tile(double tile_time_s) const
+    {
+        return store_j + p_charge_w * tile_time_s;
+    }
+};
+
+/// Builds the CycleBudget of \p env.
+CycleBudget cycle_budget_terms(const EnergyEnv& env);
+
 /// Per-cycle energy budget available to a tile whose active time is
-/// \p tile_time_s (Eq. 3 + Eq. 8 feasibility bound).
+/// \p tile_time_s: cycle_budget_terms(env).for_tile(tile_time_s).
 double cycle_budget(const EnergyEnv& env, double tile_time_s);
 
 /// Closed-form lower bound on the number of intermittent tiles (Eq. 9).

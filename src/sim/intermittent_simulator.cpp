@@ -163,7 +163,6 @@ run_inference(const dataflow::ModelCost& cost,
         for (std::int64_t tile = 0; tile < profile.n_tile; ++tile) {
             double progress_j = 0.0;      // body energy invested
             double restore_due_j = 0.0;   // restore cost owed before body
-            bool was_interrupted = false;
 
             // Pre-sample whether this tile hits an energy exception and at
             // what body-progress point it strikes.
@@ -245,7 +244,6 @@ run_inference(const dataflow::ModelCost& cost,
                         ++result.ckpt_corruptions;
                         progress_j = 0.0;
                         restore_due_j += profile.restore_j;
-                        was_interrupted = true;
                         continue;
                     }
                 }
@@ -256,7 +254,6 @@ run_inference(const dataflow::ModelCost& cost,
                     ++result.exceptions;
                     progress_j = 0.0;
                     restore_due_j += profile.restore_j;
-                    was_interrupted = true;
                     continue;
                 }
 
@@ -269,7 +266,6 @@ run_inference(const dataflow::ModelCost& cost,
                     ++result.ckpt_saves;
                     result.e_ckpt_j += profile.save_j;
                     restore_due_j += profile.restore_j;
-                    was_interrupted = true;
                 }
             }
 
@@ -285,7 +281,6 @@ run_inference(const dataflow::ModelCost& cost,
             result.e_nvm_j += body * profile.frac_nvm;
             result.e_static_j += body * profile.frac_static;
             ++result.tiles_executed;
-            (void)was_interrupted;
         }
     }
 

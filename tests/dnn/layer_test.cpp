@@ -141,6 +141,30 @@ TEST(LayerTest, LoopVolumeMatchesProduct)
     EXPECT_EQ(dims.volume(), 2LL * 3 * 5 * 7 * 11 * 13 * 17);
 }
 
+TEST(LayerTest, SameShapeIgnoresOnlyTheName)
+{
+    const Layer a = make_conv2d("a", 16, 16, 32, 32, 3, 1, 1);
+    const Layer b = make_conv2d("b", 16, 16, 32, 32, 3, 1, 1);
+    EXPECT_TRUE(same_shape(a, b));
+
+    // Each field the cost model reads breaks the match on its own.
+    Layer other = a;
+    other.kind = LayerKind::kDepthwise;
+    EXPECT_FALSE(same_shape(a, other));
+    other = a;
+    other.dims.s = 1;
+    EXPECT_FALSE(same_shape(a, other));
+    other = a;
+    other.stride = 2;
+    EXPECT_FALSE(same_shape(a, other));
+    other = a;
+    other.in_h = 31;
+    EXPECT_FALSE(same_shape(a, other));
+    other = a;
+    other.in_w = 31;
+    EXPECT_FALSE(same_shape(a, other));
+}
+
 TEST(LayerDeathTest, RejectsImpossibleGeometry)
 {
     // Kernel larger than padded input.

@@ -63,6 +63,20 @@ TEST(AnalyticHelpersTest, CycleBudgetGrowsWithTileTime)
     EXPECT_NEAR(cycle_budget(env, 0.0), cycle_store_energy(env), 1e-12);
 }
 
+TEST(AnalyticHelpersTest, CycleBudgetTermsFloorLeakyChargingAtZero)
+{
+    const EnergyEnv sunny = make_env(10e-3);
+    const CycleBudget terms = cycle_budget_terms(sunny);
+    EXPECT_EQ(terms.store_j, cycle_store_energy(sunny));
+    EXPECT_EQ(terms.p_charge_w, effective_power(sunny));
+    EXPECT_EQ(terms.for_tile(0.25), cycle_budget(sunny, 0.25));
+
+    // Leakage-dominated: only the stored swing is left per cycle.
+    const EnergyEnv leaky = make_env(0.5e-3, 10e-3);
+    EXPECT_EQ(cycle_budget_terms(leaky).p_charge_w, 0.0);
+    EXPECT_EQ(cycle_budget(leaky, 1.0), cycle_store_energy(leaky));
+}
+
 TEST(AnalyticEvaluateTest, FeasibleCaseComputesLatency)
 {
     const auto cost = kws_cost();
