@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_json.hpp"
 #include "common/logging.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
@@ -60,28 +61,6 @@ report_slug()
     return "report";
 }
 
-/// Minimal JSON string escaping (quote, backslash, control chars).
-std::string
-json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-            out += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                          static_cast<unsigned>(c));
-            out += buffer;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
 void
 write_report()
 {
@@ -99,20 +78,23 @@ write_report()
                      report.metrics_path.c_str(), errno_text(errno));
         return;
     }
-    std::fprintf(file, "{\"schema\":\"chrysalis-bench-v1\"");
-    std::fprintf(file, ",\"experiment\":\"%s\"",
-                 json_escape(report.experiment).c_str());
-    std::fprintf(file, ",\"description\":\"%s\"",
-                 json_escape(report.description).c_str());
-    std::fprintf(file, ",\"headline\":{");
+    std::string json = "{\"schema\":\"chrysalis-bench-v1\",\"experiment\":";
+    json_append_escaped(json, report.experiment);
+    json += ",\"description\":";
+    json_append_escaped(json, report.description);
+    json += ",\"headline\":{";
     std::sort(report.headlines.begin(), report.headlines.end());
     for (std::size_t i = 0; i < report.headlines.size(); ++i) {
-        std::fprintf(file, "%s\"%s\":%s", i > 0 ? "," : "",
-                     json_escape(report.headlines[i].first).c_str(),
-                     format_double_17g(report.headlines[i].second).c_str());
+        if (i > 0)
+            json += ',';
+        json_append_escaped(json, report.headlines[i].first);
+        json += ':';
+        json += format_double_17g(report.headlines[i].second);
     }
-    std::fprintf(file, "},\"metrics\":%s}\n",
-                 report.registry.to_json().c_str());
+    json += "},\"metrics\":";
+    json += report.registry.to_json();
+    json += "}\n";
+    std::fputs(json.c_str(), file);
     std::fclose(file);
 
     if (!report.trace_path.empty())

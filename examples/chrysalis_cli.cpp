@@ -5,13 +5,9 @@
 /// Usage:
 ///   chrysalis_cli serve [serve options]   run the evaluation daemon
 ///   chrysalis_cli call [call options]     send one serve-v1 request
-///   chrysalis_cli campaign [options]      run a campaign locally or —
-///                                         with --workers host:port,...
-///                                         — across a daemon fleet
-///                                         (byte-identical output;
-///                                         --fleet-trace-out /
-///                                         --fleet-metrics-out merge
-///                                         the fleet's telemetry)
+///   chrysalis_cli campaign [options]      run a campaign (with
+///                                         --deterministic, the same
+///                                         bytes at any --threads)
 ///   chrysalis_cli [options]
 ///     --model <zoo-name|path.model>   workload (default: kws). A path is
 ///                                     parsed with dnn::load_model.
@@ -56,7 +52,6 @@
 #include "core/campaign.hpp"
 #include "core/campaign_spec.hpp"
 #include "core/chrysalis.hpp"
-#include "dist/coordinator.hpp"
 #include "dnn/model_io.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
@@ -374,24 +369,15 @@ campaign_usage(const char* argv0)
         "          [--population n] [--generations n] [--seed n]\n"
         "          [--bright W/cm2] [--dark W/cm2]\n"
         "          [--fault-dropout p] [--fault-age years]\n"
-        "          [--fault-ckpt p] [--max-attempts n]\n"
-        "          [--workers host:port,host:port,...]\n"
-        "          [--streams n] [--request-timeout s] [--journal file]\n"
+        "          [--fault-ckpt p] [--max-attempts n] [--journal file]\n"
         "          [--threads n] [--deterministic]\n"
         "          [--metrics-out file] [--trace-out file]\n"
-        "          [--fleet-trace-out file] [--fleet-metrics-out file]\n"
         "Runs a campaign (objectives cycling latsp/lat/sp) and prints\n"
-        "the campaign CSV. Without --workers the cases run in this\n"
-        "process (--threads fans out); with --workers they are\n"
-        "dispatched to chrysalis_served daemons, and the CSV (and\n"
-        "--journal) is byte-identical to a local --deterministic run —\n"
-        "at any worker count, including after reassignments.\n"
-        "--deterministic drops the wall_time_s CSV column and zeroes\n"
-        "journal wall times (always on with --workers). Distributed\n"
-        "campaigns accept model-zoo names only.\n"
-        "--fleet-trace-out/--fleet-metrics-out (with --workers only)\n"
-        "pull every worker's telemetry after the campaign and write\n"
-        "one clock-aligned merged Chrome trace / fleet metrics rollup.\n",
+        "the campaign CSV. --threads fans the cases out (each case's\n"
+        "search runs serially), so the output is identical at any\n"
+        "value. --deterministic drops the wall_time_s CSV column and\n"
+        "zeroes journal wall times, making the CSV and the sorted\n"
+        "--journal byte-identical across runs and thread counts.\n",
         argv0);
 }
 
@@ -399,14 +385,9 @@ int
 run_campaign_cli(int argc, char** argv, int first)
 {
     core::CampaignSpec spec;
-    std::string workers;
     std::string journal;
     std::string metrics_out;
     std::string trace_out;
-    std::string fleet_trace_out;
-    std::string fleet_metrics_out;
-    int streams = 1;
-    double request_timeout_s = -1.0;  ///< <0 keeps the dist default
     int threads = 1;
     bool deterministic = false;
     for (int i = first; i < argc; ++i) {
@@ -459,12 +440,6 @@ run_campaign_cli(int argc, char** argv, int first)
             spec.fault_ckpt = std::stod(next());
         } else if (arg == "--max-attempts") {
             spec.max_attempts = std::stoi(next());
-        } else if (arg == "--workers") {
-            workers = next();
-        } else if (arg == "--streams") {
-            streams = std::stoi(next());
-        } else if (arg == "--request-timeout") {
-            request_timeout_s = std::stod(next());
         } else if (arg == "--journal") {
             journal = next();
         } else if (arg == "--threads") {
@@ -475,10 +450,6 @@ run_campaign_cli(int argc, char** argv, int first)
             metrics_out = next();
         } else if (arg == "--trace-out") {
             trace_out = next();
-        } else if (arg == "--fleet-trace-out") {
-            fleet_trace_out = next();
-        } else if (arg == "--fleet-metrics-out") {
-            fleet_metrics_out = next();
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             campaign_usage(argv[0]);
@@ -486,76 +457,30 @@ run_campaign_cli(int argc, char** argv, int first)
         }
     }
     spec.validate();
-    if (workers.empty() &&
-        (!fleet_trace_out.empty() || !fleet_metrics_out.empty()))
-        fatal("--fleet-trace-out/--fleet-metrics-out require --workers "
-              "(there is no fleet to pull from in a local run)");
 
     obs::MetricsRegistry registry;
     obs::TraceSession trace_session;
     if (!metrics_out.empty())
         obs::attach_metrics(&registry);
-    // The coordinator's own spans (dist/case, the synthetic remote
-    // children) join the merged fleet trace, so fleet tracing implies
-    // a local session even without --trace-out.
-    if (!trace_out.empty() || !fleet_trace_out.empty())
+    if (!trace_out.empty())
         obs::attach_trace(&trace_session);
 
-    core::CampaignResult result;
-    if (workers.empty()) {
-        const dnn::Model model = dnn::make_model(spec.model);
-        const std::vector<core::CampaignCase> cases =
-            core::build_campaign_cases(spec, model);
-        std::unique_ptr<fault::FaultInjector> faults;
-        const search::ExplorerOptions base =
-            core::build_explorer_options(spec, faults);
-        core::CampaignOptions campaign_options;
-        campaign_options.threads = threads;
-        campaign_options.max_attempts = spec.max_attempts;
-        campaign_options.journal_path = journal;
-        campaign_options.deterministic_journal = deterministic;
-        result = core::run_campaign(cases, base, campaign_options);
-        result.write_csv(std::cout, deterministic
-                                        ? core::CsvColumns::kDeterministic
-                                        : core::CsvColumns::kAll);
-    } else {
-        dist::DistCampaignOptions dist_options;
-        dist_options.workers = dist::parse_worker_list(workers);
-        dist_options.streams_per_worker = streams;
-        dist_options.journal_path = journal;
-        dist_options.fleet_trace_path = fleet_trace_out;
-        dist_options.fleet_metrics_path = fleet_metrics_out;
-        if (request_timeout_s >= 0.0)
-            dist_options.client.request_timeout_s = request_timeout_s;
-        const dist::DistCampaignResult dist_result =
-            dist::run_distributed_campaign(spec, dist_options);
-        result = dist_result.campaign;
-        // Distributed records carry no wall times, so the CSV is
-        // always the deterministic column set.
-        result.write_csv(std::cout, core::CsvColumns::kDeterministic);
-        std::fprintf(stderr,
-                     "# dist: %zu cases, %llu dispatched, "
-                     "%llu reassigned, %zu restored, %zu/%zu workers "
-                     "ready\n",
-                     dist_result.cases,
-                     static_cast<unsigned long long>(
-                         dist_result.dispatched),
-                     static_cast<unsigned long long>(
-                         dist_result.reassigned),
-                     dist_result.restored, dist_result.workers_ready,
-                     dist_result.workers.size());
-        if (!fleet_trace_out.empty() || !fleet_metrics_out.empty()) {
-            std::fprintf(
-                stderr,
-                "# fleet: %zu/%zu workers pulled, %llu spans merged "
-                "(%llu clamped)\n",
-                dist_result.fleet_workers_collected,
-                dist_result.workers.size(),
-                static_cast<unsigned long long>(dist_result.fleet_spans),
-                static_cast<unsigned long long>(
-                    dist_result.fleet_clamped_spans));
-        }
-    }
+    const dnn::Model model = dnn::make_model(spec.model);
+    const std::vector<core::CampaignCase> cases =
+        core::build_campaign_cases(spec, model);
+    std::unique_ptr<fault::FaultInjector> faults;
+    const search::ExplorerOptions base =
+        core::build_explorer_options(spec, faults);
+    core::CampaignOptions campaign_options;
+    campaign_options.threads = threads;
+    campaign_options.max_attempts = spec.max_attempts;
+    campaign_options.journal_path = journal;
+    campaign_options.deterministic_journal = deterministic;
+    const core::CampaignResult result =
+        core::run_campaign(cases, base, campaign_options);
+    result.write_csv(std::cout, deterministic
+                                    ? core::CsvColumns::kDeterministic
+                                    : core::CsvColumns::kAll);
 
     obs::attach_metrics(nullptr);
     obs::attach_trace(nullptr);

@@ -96,6 +96,13 @@ run_case(const CampaignCase& campaign_case,
 {
     search::ExplorerOptions options = base_options;
     options.outer.seed = base_options.outer.seed + 1000 * (index + 1);
+    // The case's GA always runs serially: campaigns parallelise across
+    // cases only. A parallel fitness batch can let two identical
+    // candidates both miss the memo, so the cache_hits/cache_misses the
+    // deterministic CSV and journal carry would depend on whether the
+    // case ran on the caller (all-cores GA) or on a campaign worker
+    // (nested batches inline).
+    options.outer.threads = 1;
     ChrysalisInputs inputs{campaign_case.model, campaign_case.space,
                            campaign_case.objective, options};
     const Chrysalis tool(std::move(inputs));

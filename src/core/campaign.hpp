@@ -64,9 +64,10 @@ struct CampaignResult {
 struct CampaignOptions {
     /// Case-level fan-out: 0 = all hardware threads, 1 = sequential.
     /// Cases are independent searches with decorrelated seeds, so any
-    /// value produces identical entries in identical order; searches
-    /// running on campaign workers keep their inner evaluation serial
-    /// (nested pool batches run inline), avoiding oversubscription.
+    /// value produces identical entries in identical order — memo
+    /// counters included. This is the campaign's only parallelism:
+    /// every case runs its GA serially whatever the base options'
+    /// `outer.threads` says (see run_campaign_case).
     int threads = 1;
 
     /// When true, a case whose evaluation fatals (bad derived
@@ -96,9 +97,9 @@ struct CampaignOptions {
 
     /// When true, journal records are written with the volatile
     /// wall-clock fields zeroed (see deterministic_record()), so two
-    /// runs of the same campaign produce byte-identical journal lines —
-    /// the property the distributed coordinator's byte-identity
-    /// guarantee is checked against.
+    /// runs of the same campaign produce byte-identical journal lines
+    /// at any `threads` (lines land in completion order, so compare
+    /// them sorted when threads > 1).
     bool deterministic_journal = false;
 
     /// fatal() with an actionable message when any field is out of range.
@@ -117,12 +118,14 @@ CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
                             const search::ExplorerOptions& base_options);
 
 /// Runs a single campaign case exactly as run_campaign would — same
-/// per-index seed offset, same FatalThrowGuard crash isolation with up
-/// to \p max_attempts attempts, same kCrashed fallback entry — without
-/// the campaign scaffolding (thread pool, journal, progress). This is
-/// the unit of work a `run_case` serve request executes on a worker:
-/// because it is the same code path, a remotely evaluated case is
-/// bit-identical to a local one.
+/// per-index seed offset, same serial GA (`outer.threads` is forced to
+/// 1, so memo hit/miss counts are reproducible), same FatalThrowGuard
+/// crash isolation with up to \p max_attempts attempts, same kCrashed
+/// fallback entry — without the campaign scaffolding (thread pool,
+/// journal, progress). This is the unit of work a `run_case` serve
+/// request executes: because it is the same code path, a case
+/// evaluated by a daemon is bit-identical to the same case in a local
+/// campaign.
 CampaignEntry run_campaign_case(const CampaignCase& campaign_case,
                                 const search::ExplorerOptions& base_options,
                                 std::size_t index, int max_attempts = 2);

@@ -1,16 +1,17 @@
 /// \file
-/// Wire-serializable campaign description: the unit of work a
-/// distributed campaign ships to `chrysalis_served` workers.
+/// Wire-serializable campaign description, the input of
+/// `chrysalis_cli campaign` and of `run_case` serve requests.
 ///
 /// A `CampaignSpec` captures everything that shapes a campaign's
 /// *results* — workload, design space, objective cycle, GA budget,
 /// seeds, environments, fault spec — as flat scalar fields, so the same
 /// spec can be (a) expanded locally into `CampaignCase`s +
 /// `ExplorerOptions` and run through `run_campaign`, or (b) encoded
-/// into `chrysalis-serve-v1` `run_case` request fields, evaluated on a
-/// remote worker, and merged back byte-identically. Execution knobs
-/// that never change results (thread counts, timeouts, journal paths)
-/// are deliberately *not* part of the spec.
+/// into `chrysalis-serve-v1` `run_case` request fields, one case per
+/// request, whose replies match the local run's records byte for byte
+/// (an outside scheduler can fan the cases out across daemons).
+/// Execution knobs that never change results (thread counts, timeouts,
+/// journal paths) are deliberately *not* part of the spec.
 ///
 /// The spec mirrors `chrysalis_cli --campaign`: \p cases search cases
 /// over one workload, objectives cycling latsp/lat/sp, per-case seeds
@@ -61,9 +62,9 @@ std::string campaign_case_label(const std::string& model_name,
                                 std::size_t index);
 
 /// Builds case \p index over \p model (resolved by the caller so local
-/// runs may use file-loaded models; workers use make_model(spec.model),
-/// which must agree with the coordinator's resolution for distributed
-/// byte-identity).
+/// runs may use file-loaded models; the `run_case` handler uses
+/// make_model(spec.model), so a caller comparing against its replies
+/// must resolve the model the same way).
 CampaignCase build_campaign_case(const CampaignSpec& spec,
                                  const dnn::Model& model,
                                  std::size_t index);

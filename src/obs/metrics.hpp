@@ -162,9 +162,8 @@ enum class MetricKind {
     kHistogram,
 };
 
-/// Point-in-time copy of one metric — the exchange format for fleet
-/// telemetry (`metrics_snapshot` replies, FleetCollector rollups).
-/// Only the fields for its kind are meaningful; the rest stay at their
+/// Point-in-time copy of one metric (MetricsRegistry::samples()). Only
+/// the fields for its kind are meaningful; the rest stay at their
 /// defaults.
 struct MetricSample {
     std::string name;
@@ -220,8 +219,8 @@ class MetricsRegistry
     /// is name-sorted and doubles print as "%.17g".
     std::string to_json(ReportMode mode = ReportMode::kFull) const;
 
-    /// Point-in-time copies of every metric, name-sorted. The building
-    /// block for `metrics_snapshot` replies and fleet rollups;
+    /// Point-in-time copies of every metric, name-sorted, for callers
+    /// that read values directly;
     /// to_json(mode) == samples_to_json(samples(), mode).
     std::vector<MetricSample> samples() const;
 

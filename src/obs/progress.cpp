@@ -72,13 +72,6 @@ ProgressReporter::note_restored()
 }
 
 void
-ProgressReporter::set_detail(std::string detail)
-{
-    MutexLock lock(mutex_);
-    detail_ = std::move(detail);
-}
-
-void
 ProgressReporter::finish()
 {
     MutexLock lock(mutex_);
@@ -128,8 +121,6 @@ ProgressReporter::format_line_locked(bool final) const
         os << " crashed=" << crashes_;
     if (restored_ > 0)
         os << " restored=" << restored_;
-    if (!detail_.empty())
-        os << ' ' << detail_;
     return os.str();
 }
 

@@ -47,10 +47,6 @@ class ProgressReporter
     void note_crash() CHRYSALIS_EXCLUDES(mutex_);
     void note_restored() CHRYSALIS_EXCLUDES(mutex_);
 
-    /// Free-form context appended to every subsequent heartbeat line
-    /// (the dist coordinator's per-worker lane summary). Empty clears.
-    void set_detail(std::string detail) CHRYSALIS_EXCLUDES(mutex_);
-
     /// Emits the final summary line (always, regardless of the rate
     /// limit). Idempotent.
     void finish() CHRYSALIS_EXCLUDES(mutex_);
@@ -76,7 +72,6 @@ class ProgressReporter
     std::size_t crashes_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
     std::size_t restored_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
     std::size_t reports_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
-    std::string detail_ CHRYSALIS_GUARDED_BY(mutex_);
     bool finished_ CHRYSALIS_GUARDED_BY(mutex_) = false;
     std::chrono::steady_clock::time_point last_emit_
         CHRYSALIS_GUARDED_BY(mutex_);

@@ -18,12 +18,12 @@ std::atomic<std::uint64_t> g_next_session_id{1};
 /// Current nesting depth of *recorded* spans on this thread.
 thread_local std::uint32_t t_depth = 0;
 
-/// The calling thread's distributed-trace context (inactive default).
+/// The calling thread's request-trace context (inactive default).
 thread_local TraceContext t_context;
 
 /// The monotonic_seconds() epoch — a fixed steady_clock point, shared
-/// with TraceSession::epoch_to_monotonic_skew_s() so session-relative
-/// timestamps map exactly onto the monotonic timeline.
+/// with TraceSession::add_span() so monotonic readings map exactly onto
+/// a session's timeline.
 std::chrono::steady_clock::time_point
 monotonic_epoch()
 {
@@ -122,12 +122,6 @@ current_trace_context()
     return t_context;
 }
 
-std::uint32_t
-current_trace_depth()
-{
-    return t_depth;
-}
-
 ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
     : previous_(t_context)
 {
@@ -176,103 +170,38 @@ TraceSession::record(std::string_view name,
     event.depth = depth;
     event.start_us = microseconds_between(epoch_, start);
     event.duration_us = microseconds_between(start, end);
-    // Spans recorded under an active distributed-trace context inherit
-    // its attribution, so existing OBS_SPAN sites tag for free.
+    append(std::move(event));
+}
+
+void
+TraceSession::add_span(std::string_view name, double start_mono_s,
+                       double duration_s, std::uint32_t depth)
+{
+    // Both epochs are fixed steady_clock points, so the shift onto this
+    // session's timeline is exact.
+    const double epoch_mono_s =
+        std::chrono::duration<double>(epoch_ - monotonic_epoch()).count();
+    TraceEvent event;
+    event.name.assign(name.data(), name.size());
+    event.depth = depth;
+    event.start_us = (start_mono_s - epoch_mono_s) * 1e6;
+    event.duration_us = duration_s * 1e6;
+    append(std::move(event));
+}
+
+void
+TraceSession::append(TraceEvent event)
+{
+    // Spans recorded under an active trace context inherit its
+    // attribution, so existing OBS_SPAN sites tag for free.
     if (t_context.active()) {
         event.trace_id = t_context.trace_id;
         event.case_index = t_context.case_index;
     }
-    add_event(std::move(event));
-}
-
-void
-TraceSession::add_event(TraceEvent event)
-{
     ThreadBuffer& buffer = buffer_for_this_thread();
     event.tid = buffer.tid;
-    const std::size_t cap =
-        max_events_per_thread_.load(std::memory_order_relaxed);
     MutexLock lock(buffer.mutex);
-    if (cap != 0 && buffer.events.size() >= cap) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
-        return;
-    }
     buffer.events.push_back(std::move(event));
-}
-
-double
-TraceSession::seconds_since_epoch() const
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         epoch_)
-        .count();
-}
-
-double
-TraceSession::epoch_to_monotonic_skew_s() const
-{
-    return std::chrono::duration<double>(epoch_ - monotonic_epoch())
-        .count();
-}
-
-std::uint64_t
-TraceSession::event_count() const
-{
-    std::uint64_t total = 0;
-    MutexLock lock(mutex_);
-    for (const auto& buffer : buffers_) {
-        MutexLock buffer_lock(buffer->mutex);
-        total += buffer->events.size();
-    }
-    return total;
-}
-
-std::vector<TraceEvent>
-TraceSession::export_events(std::uint64_t cursor, std::size_t max_events,
-                            std::uint64_t& cursor_next,
-                            std::uint64_t& remaining) const
-{
-    // The cursor encodes (tid, offset-within-buffer): stable as new
-    // events append, unlike an index into the merged()+sorted view.
-    const std::uint64_t tid = cursor >> 32;
-    const std::uint64_t offset = cursor & 0xffffffffull;
-    std::vector<TraceEvent> out;
-    std::uint64_t pos_tid = tid;
-    std::uint64_t pos_offset = offset;
-    bool full = false;
-    remaining = 0;
-    MutexLock lock(mutex_);
-    for (std::uint64_t b = tid; b < buffers_.size(); ++b) {
-        MutexLock buffer_lock(buffers_[b]->mutex);
-        const std::vector<TraceEvent>& events = buffers_[b]->events;
-        std::uint64_t from =
-            (b == tid) ? std::min<std::uint64_t>(offset, events.size())
-                       : 0;
-        if (!full) {
-            while (from < events.size() && out.size() < max_events) {
-                out.push_back(events[from]);
-                ++from;
-            }
-            pos_tid = b;
-            pos_offset = from;
-            full = out.size() >= max_events;
-        }
-        remaining += events.size() - from;
-    }
-    cursor_next = (pos_tid << 32) | (pos_offset & 0xffffffffull);
-    return out;
-}
-
-void
-TraceSession::set_max_events_per_thread(std::size_t cap)
-{
-    max_events_per_thread_.store(cap, std::memory_order_relaxed);
-}
-
-std::uint64_t
-TraceSession::dropped() const
-{
-    return dropped_.load(std::memory_order_relaxed);
 }
 
 std::vector<TraceEvent>
@@ -298,6 +227,9 @@ TraceSession::merged() const
     return events;
 }
 
+namespace {
+
+/// Writes \p text with `"`/`\` escaped and control bytes blanked.
 void
 write_escaped_trace_string(std::ostream& out, std::string_view text)
 {
@@ -313,22 +245,23 @@ write_escaped_trace_string(std::ostream& out, std::string_view text)
     }
 }
 
+/// Writes one event as a Chrome "X" (complete) JSON object — no
+/// surrounding comma.
 void
-write_chrome_event(std::ostream& out, const TraceEvent& event,
-                   std::uint64_t pid)
+write_chrome_event(std::ostream& out, const TraceEvent& event)
 {
     char buffer[64];
     out << "{\"name\":\"";
     write_escaped_trace_string(out, event.name);
-    out << "\",\"cat\":\"chrysalis\",\"ph\":\"X\",\"pid\":" << pid
+    out << "\",\"cat\":\"chrysalis\",\"ph\":\"X\",\"pid\":0"
         << ",\"tid\":" << event.tid;
     std::snprintf(buffer, sizeof(buffer), "%.3f", event.start_us);
     out << ",\"ts\":" << buffer;
     std::snprintf(buffer, sizeof(buffer), "%.3f", event.duration_us);
     out << ",\"dur\":" << buffer << ",\"args\":{\"depth\":"
         << event.depth;
-    // Distributed-trace attribution only when set, so single-process
-    // traces keep their pre-fleet byte layout.
+    // Request-trace attribution only when set, so untraced runs keep
+    // the plain byte layout.
     if (event.trace_id != 0) {
         out << ",\"trace_id\":\"";
         std::snprintf(buffer, sizeof(buffer), "%016llx",
@@ -337,13 +270,10 @@ write_chrome_event(std::ostream& out, const TraceEvent& event,
     }
     if (event.case_index >= 0)
         out << ",\"case\":" << event.case_index;
-    if (!event.worker.empty()) {
-        out << ",\"worker\":\"";
-        write_escaped_trace_string(out, event.worker);
-        out << "\"";
-    }
     out << "}}";
 }
+
+}  // namespace
 
 void
 TraceSession::write_chrome_trace(std::ostream& out) const
@@ -354,7 +284,7 @@ TraceSession::write_chrome_trace(std::ostream& out) const
     for (const auto& event : events) {
         if (!first)
             out << ",";
-        write_chrome_event(out, event, 0);
+        write_chrome_event(out, event);
         first = false;
     }
     out << "]}\n";

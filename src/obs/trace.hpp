@@ -19,7 +19,6 @@
 #ifndef CHRYSALIS_OBS_TRACE_HPP
 #define CHRYSALIS_OBS_TRACE_HPP
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -46,27 +45,14 @@ struct TraceEvent {
     double start_us = 0.0;    ///< relative to the session epoch
     // NOLINTNEXTLINE(chrysalis-unit-suffix): Chrome trace spec uses us
     double duration_us = 0.0;
-    // Distributed-trace attribution (defaults = untagged local span;
-    // the Chrome writer emits the extra args only when set, so
-    // single-process traces are byte-identical to pre-fleet output).
-    std::uint64_t trace_id = 0;    ///< distributed trace id; 0 = none
+    // Request-trace attribution (defaults = untagged span; the Chrome
+    // writer emits the extra args only when set, so untraced runs keep
+    // the plain byte layout).
+    std::uint64_t trace_id = 0;    ///< request trace id; 0 = none
     std::int64_t case_index = -1;  ///< originating campaign case; -1 = none
-    std::string worker;  ///< remote worker attribution ("" = this process)
 };
 
-/// Writes \p text with `"`/`\` escaped and control bytes blanked —
-/// the escaping used for every string the Chrome-trace writers emit.
-void write_escaped_trace_string(std::ostream& out, std::string_view text);
-
-/// Writes one event as a Chrome "X" (complete) JSON object under the
-/// given pid — no surrounding comma. The distributed-trace attribution
-/// args (trace_id/case/worker) appear only when set, so pre-fleet
-/// traces keep their byte layout. Shared by
-/// TraceSession::write_chrome_trace and obs::FleetCollector.
-void write_chrome_event(std::ostream& out, const TraceEvent& event,
-                        std::uint64_t pid);
-
-/// Distributed trace context carried on the wire as one flat request
+/// Request trace context carried on the wire as one flat request
 /// field: `"trace":"<trace_id hex>-<parent span hex>-<01|00>"`. The
 /// server parses it, installs it as the calling thread's context for
 /// the request's evaluation (ScopedTraceContext) and every span
@@ -90,11 +76,6 @@ bool parse_trace_field(std::string_view text, TraceContext& out);
 
 /// The calling thread's current trace context (inactive by default).
 TraceContext current_trace_context();
-
-/// Current span nesting depth on the calling thread — lets code that
-/// synthesizes events (serve::Client's remote child spans) nest them
-/// under the enclosing ScopedSpan.
-std::uint32_t current_trace_depth();
 
 /// RAII: installs \p context as the calling thread's trace context and
 /// restores the previous one on destruction. Spans recorded while it
@@ -132,50 +113,13 @@ class TraceSession
     /// write_chrome_trace to \p path; fatal() when unwritable.
     void write_chrome_trace_file(const std::string& path) const;
 
-    /// Appends a fully-formed event to the calling thread's buffer
-    /// (the event's tid is overwritten with that buffer's tid). For
-    /// code that measures spans itself — the serve path's per-request
-    /// stage timings, the client's synthetic remote child spans —
-    /// rather than via ScopedSpan.
-    void add_event(TraceEvent event);
-
-    /// Seconds elapsed since this session's epoch (construction time).
-    /// Event start_us/duration_us live on this timeline (in us).
-    double seconds_since_epoch() const;
-
-    /// Offset from this session's epoch to the monotonic_seconds()
-    /// epoch: `session_time + skew == monotonic_seconds() time`. Exact
-    /// (both epochs are fixed steady_clock points), which is what lets
-    /// FleetCollector map event timestamps onto the probe-measured
-    /// monotonic timeline with no extra clock reads.
-    double epoch_to_monotonic_skew_s() const;
-
-    /// Total events currently buffered across all threads.
-    std::uint64_t event_count() const;
-
-    /// Cursor-resumable export for the `trace_export` request type.
-    /// Walks the per-thread buffers in thread-registration (tid) order
-    /// and each buffer in append order — positions already handed out
-    /// stay valid as new events append, so a puller never sees an
-    /// event twice. Events appended to a thread the cursor has already
-    /// passed are missed; drain after the workload quiesces. \p cursor
-    /// 0 starts from the beginning; up to \p max_events are returned,
-    /// \p cursor_next resumes after the last returned event and
-    /// \p remaining counts events left after it at this instant (0 =
-    /// drained).
-    std::vector<TraceEvent> export_events(std::uint64_t cursor,
-                                          std::size_t max_events,
-                                          std::uint64_t& cursor_next,
-                                          std::uint64_t& remaining) const;
-
-    /// Caps each thread's buffer; events past the cap are counted in
-    /// dropped() instead of stored. 0 (the default) = unbounded.
-    /// Long-lived daemons set a cap so tracing cannot grow without
-    /// bound between exports.
-    void set_max_events_per_thread(std::size_t cap);
-
-    /// Events discarded by the per-thread cap.
-    std::uint64_t dropped() const;
+    /// Records a span timed with monotonic_seconds() readings rather
+    /// than by a ScopedSpan — for stages measured after the fact, like
+    /// the serve path's per-request decode/queue/eval/encode split.
+    /// Like every recorded span it lands on the calling thread's
+    /// buffer and inherits the calling thread's trace context.
+    void add_span(std::string_view name, double start_mono_s,
+                  double duration_s, std::uint32_t depth);
 
     /// Unique id of this session (monotonic across the process); lets
     /// thread-local caches detect a stale session after detach.
@@ -199,10 +143,12 @@ class TraceSession
                 std::chrono::steady_clock::time_point end,
                 std::uint32_t depth);
 
+    /// Stamps the calling thread's trace context onto \p event and
+    /// appends it to that thread's buffer.
+    void append(TraceEvent event);
+
     std::uint64_t id_ = 0;
     std::chrono::steady_clock::time_point epoch_;
-    std::atomic<std::size_t> max_events_per_thread_{0};
-    std::atomic<std::uint64_t> dropped_{0};
     mutable Mutex mutex_;  ///< guards buffers_ registration/merge
     std::vector<std::unique_ptr<ThreadBuffer>> buffers_
         CHRYSALIS_GUARDED_BY(mutex_);
@@ -270,15 +216,8 @@ class SpanTimer
 /// src/obs/ — raw clock reads are confined to this subsystem, so
 /// serving-path deadline arithmetic (client request deadlines, server
 /// idle sweeps, chaos schedules) goes through this helper. Never goes
-/// backwards.
-///
-/// The epoch is **per-process**: values from two processes are not
-/// comparable — not even approximately — because each epoch is "the
-/// first call in that process". Cross-process timestamp comparison
-/// (merging worker traces into one fleet timeline) must go through
-/// `obs::FleetCollector`, which estimates each worker's offset from
-/// health-probe RTT midpoints and clamps the residual error; see
-/// obs/fleet.hpp and docs/observability.md.
+/// backwards. The epoch is per-process: values from two processes are
+/// not comparable.
 double monotonic_seconds();
 
 }  // namespace chrysalis::obs

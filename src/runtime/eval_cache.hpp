@@ -13,7 +13,11 @@
 /// Concurrency contract: `get_or_compute` may invoke the compute function
 /// on two threads racing for the same key; both results are identical (the
 /// function must be pure), one is cached, and each caller gets a correct
-/// value. This keeps the fast path lock-free of any per-key latch.
+/// value. This keeps the fast path lock-free of any per-key latch. The
+/// price is that the hit/miss split of a concurrent run is not
+/// reproducible: callers that publish it as a deterministic figure (the
+/// campaign CSV and journal) must look up from one thread, as campaign
+/// cases do by running their GA serially.
 
 #ifndef CHRYSALIS_RUNTIME_EVAL_CACHE_HPP
 #define CHRYSALIS_RUNTIME_EVAL_CACHE_HPP

@@ -46,6 +46,9 @@ struct OptimizerOptions {
     /// strictly serial (the historical code path). Any value yields
     /// bit-identical results for a fixed seed: all RNG is drawn on the
     /// caller thread in serial order and batches reduce in index order.
+    /// Only a memoized fitness's hit/miss split may differ (two equal
+    /// candidates in one parallel batch can both miss, see EvalCache),
+    /// which is why campaign cases force this to 1.
     int threads = 0;
     /// Warm-start individuals injected into the initial GA population
     /// (e.g. the frozen-default design, so a search over a superset space

@@ -442,8 +442,6 @@ Client::request(const std::string& type, const FlatJsonFields& params,
             }
             consecutive_failures_ = 0;
             circuit_open_ = false;
-            if (response.ok)
-                note_remote_timing(params, response);
             return CallStatus::kOk;
         }
         // A failed attempt poisons the stream (a late reply could be
@@ -453,64 +451,6 @@ Client::request(const std::string& type, const FlatJsonFields& params,
     }
     record_failure(status);
     return status;
-}
-
-void
-Client::note_remote_timing(const FlatJsonFields& params,
-                           const Response& response)
-{
-    double queue_wait_s = 0.0;
-    if (!json_get_double(response.fields, "timing_queue_s", queue_wait_s))
-        return;  // untraced request, or a pre-timing server
-    double decode_s = 0.0;
-    double eval_s = 0.0;
-    double encode_s = 0.0;
-    json_get_double(response.fields, "timing_decode_s", decode_s);
-    json_get_double(response.fields, "timing_eval_s", eval_s);
-    json_get_double(response.fields, "timing_encode_s", encode_s);
-    record_latency("serve/client/remote_queue_wait_s", queue_wait_s);
-    record_latency("serve/client/remote_decode_s", decode_s);
-    record_latency("serve/client/remote_eval_s", eval_s);
-    record_latency("serve/client/remote_encode_s", encode_s);
-
-    obs::TraceSession* session = obs::trace();
-    if (session == nullptr)
-        return;
-    obs::TraceContext context;
-    const auto trace_it = params.find("trace");
-    if (trace_it == params.end() ||
-        !obs::parse_trace_field(trace_it->second, context) ||
-        !context.active())
-        return;
-    std::int64_t case_index = -1;
-    json_get_int64(params, "case_index", case_index);
-
-    // Place the four stage spans back-to-back, ending "now" on this
-    // session's timeline — the true remote interval isn't knowable
-    // without the worker's clock, but the durations are exact and the
-    // spans land inside the enclosing client-side span, which is what
-    // makes the trace readable. FleetCollector replaces these with the
-    // worker's own aligned spans when a fleet pull runs.
-    const double total_s = queue_wait_s + decode_s + eval_s + encode_s;
-    double cursor_s = session->seconds_since_epoch() - total_s;
-    const std::string worker = host_ + ":" + std::to_string(port_);
-    const std::uint32_t depth = obs::current_trace_depth() + 1;
-    const auto add = [&](const char* name, double duration_s) {
-        obs::TraceEvent event;
-        event.name = name;
-        event.depth = depth;
-        event.start_us = cursor_s * 1e6;
-        event.duration_us = duration_s * 1e6;
-        event.trace_id = context.trace_id;
-        event.case_index = case_index;
-        event.worker = worker;
-        session->add_event(std::move(event));
-        cursor_s += duration_s;
-    };
-    add("serve/remote/queue_wait", queue_wait_s);
-    add("serve/remote/decode", decode_s);
-    add("serve/remote/eval", eval_s);
-    add("serve/remote/encode", encode_s);
 }
 
 CallStatus

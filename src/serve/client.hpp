@@ -178,15 +178,6 @@ class Client
   private:
     enum class RecvOutcome { kFrame, kTimeout, kClosed, kCorrupt };
 
-    /// Consumes the reply's `timing_*` stage fields (servers splice
-    /// them in only for traced requests): records them into the
-    /// `serve/client/remote_*` latency histograms and — when a trace
-    /// session is attached — injects synthetic child spans attributed
-    /// to the remote worker (`host:port`), so a client-side trace
-    /// shows where the remote time went without pulling the worker's
-    /// own trace buffer. No-op when the reply carries no timing.
-    void note_remote_timing(const FlatJsonFields& params,
-                            const Response& response);
     /// Dials host_:port_ within connect_timeout. Returns false and
     /// leaves the fd closed on failure.
     bool dial();

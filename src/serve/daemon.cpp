@@ -85,9 +85,8 @@ serve_usage(const char* argv0)
         "          [--trace-out file]\n"
         "Serves chrysalis-serve-v1 evaluation requests until SIGINT or\n"
         "SIGTERM, then drains in-flight work and exits.\n"
-        "Live telemetry is always on: fleet coordinators pull it via\n"
-        "the metrics_snapshot / trace_export request types;\n"
-        "--metrics-out/--trace-out additionally write files at drain.\n"
+        "--metrics-out/--trace-out record metrics / a Chrome trace for\n"
+        "the daemon's lifetime and write them at drain.\n"
         "--read-timeout closes connections that leave a frame half-sent\n"
         "(slow-loris defense, 0 disables); --idle-timeout reaps fully\n"
         "quiet connections (0, the default, keeps them); slow consumers\n"
@@ -170,19 +169,14 @@ run_serve_cli(int argc, char** argv, int first)
         }
     }
 
-    // The daemon always carries live telemetry so a fleet coordinator
-    // can pull `metrics_snapshot` / `trace_export` from any worker —
-    // no flag required. --metrics-out/--trace-out only control whether
-    // the final state is also written to files at drain. The per-thread
-    // event cap bounds the trace memory of a long-lived daemon between
-    // pulls (overflow is counted in the export's `dropped` field).
+    // Sinks attach only when their report is requested: before the
+    // server starts, detached (quiescent) after it drains.
     obs::MetricsRegistry registry;
-    obs::attach_metrics(&registry);
     obs::TraceSession trace;
-    trace.set_max_events_per_thread(1u << 18);
-    obs::attach_trace(&trace);
-    options.server.metrics_source = &registry;
-    options.server.trace_source = &trace;
+    if (!options.metrics_out.empty())
+        obs::attach_metrics(&registry);
+    if (!options.trace_out.empty())
+        obs::attach_trace(&trace);
 
     if (::pipe(g_signal_pipe) != 0)
         fatal("serve: pipe(): ", errno_text(errno));

@@ -1,11 +1,9 @@
 #include "serve/handlers.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <memory>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
@@ -15,8 +13,6 @@
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
 #include "hw/accelerator.hpp"
-#include "obs/fleet.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
 
@@ -339,13 +335,13 @@ sim_step_body(const FlatJsonFields& fields)
     return body;
 }
 
-/// Executes one whole campaign case — the distributed coordinator's
-/// unit of work. The reply carries the case's *deterministic* journal
-/// record (wall times zeroed, doubles in %.17g): because the worker
-/// runs the exact run_campaign_case code path a local campaign uses,
-/// and the volatile fields are stripped, the body is a pure function of
-/// the request fields and the merged campaign output stays
-/// byte-identical at any worker count.
+/// Executes one whole campaign case — the unit an outside scheduler
+/// can fan out across daemons. The reply carries the case's
+/// *deterministic* journal record (wall times zeroed, doubles in
+/// %.17g): because the daemon runs the exact run_campaign_case code
+/// path a local campaign uses, and the volatile fields are stripped,
+/// the body is a pure function of the request fields and matches the
+/// same case's record in a local `--deterministic` campaign.
 std::string
 run_case_body(const FlatJsonFields& fields)
 {
@@ -358,9 +354,9 @@ run_case_body(const FlatJsonFields& fields)
         fatal("request field \"case_index\" (", case_index,
               ") exceeds the campaign's ", spec.cases, " cases");
 
-    // Workers resolve the workload by zoo name only: a model *file*
-    // lives on the coordinator's disk and could not be resolved
-    // identically here.
+    // Daemons resolve the workload by zoo name only: a model *file*
+    // lives on the caller's disk and could not be resolved identically
+    // here.
     const dnn::Model model = dnn::make_model(spec.model);
     const core::CampaignCase campaign_case = core::build_campaign_case(
         spec, model, static_cast<std::size_t>(case_index));
@@ -416,9 +412,6 @@ server_stats_body(const ServerStatsSnapshot& stats)
     body_f64(body, "cache_hit_rate", stats.cache.hit_rate());
     body_str(body, "worker_id", stats.worker_id);
     body_f64(body, "uptime_seconds", stats.uptime_seconds);
-    body_u64(body, "requests_metrics_snapshot",
-             stats.requests_metrics_snapshot);
-    body_u64(body, "requests_trace_export", stats.requests_trace_export);
     body_u64(body, "latency_count", stats.latency_count);
     body_f64(body, "latency_p50_s", stats.latency_p50_s);
     body_f64(body, "latency_p95_s", stats.latency_p95_s);
@@ -442,118 +435,6 @@ health_body(const ServerStatsSnapshot& stats)
     body_u64(body, "connections_open", stats.connections_open);
     body_u64(body, "pending", stats.pending);
     body_i64(body, "threads", stats.threads);
-    // This process's monotonic_seconds() at reply time — the raw
-    // material for the coordinator's RTT-midpoint clock-offset
-    // estimate (obs::clock_offset_from_probe).
-    body_f64(body, "mono_now_s", obs::monotonic_seconds());
-    return body;
-}
-
-// ---- fleet telemetry pulls -----------------------------------------------
-// Bounded, cursor-resumable: a pulled page always fits the 1 MiB frame
-// limit regardless of how much the worker has buffered. Cursors come
-// from a previous reply's `cursor_next`; `remaining == 0` means
-// drained. Both types report live state: never cached, never retried.
-
-constexpr std::uint64_t kSnapshotMaxEntriesDefault = 128;
-constexpr std::uint64_t kSnapshotMaxEntriesCap = 2048;
-constexpr std::uint64_t kExportMaxEventsDefault = 512;
-constexpr std::uint64_t kExportMaxEventsCap = 4096;
-
-std::string
-metrics_snapshot_body(const FlatJsonFields& fields,
-                      const TelemetrySources& telemetry,
-                      const ServerStatsSnapshot& stats)
-{
-    const std::uint64_t cursor = field_uint64(fields, "cursor", 0);
-    std::uint64_t max_entries =
-        field_uint64(fields, "max_entries", kSnapshotMaxEntriesDefault);
-    if (max_entries == 0)
-        max_entries = 1;
-    if (max_entries > kSnapshotMaxEntriesCap)
-        max_entries = kSnapshotMaxEntriesCap;
-
-    std::string body;
-    body_flag(body, "ok", true);
-    body_str(body, "type", "metrics_snapshot");
-    body_str(body, "worker_id", stats.worker_id);
-    body_flag(body, "attached", telemetry.metrics != nullptr);
-    body_f64(body, "mono_now_s", obs::monotonic_seconds());
-    if (telemetry.metrics == nullptr) {
-        body_u64(body, "total", 0);
-        body_u64(body, "cursor_next", 0);
-        body_u64(body, "remaining", 0);
-        body_u64(body, "entries", 0);
-        return body;
-    }
-    // The cursor indexes the name-sorted sample vector; registering a
-    // new metric mid-pull can shift indices, so pull at quiescence
-    // (campaign end) — exactly how the dist layer uses it.
-    const std::vector<obs::MetricSample> samples =
-        telemetry.metrics->samples();
-    const std::uint64_t total = samples.size();
-    const std::uint64_t begin = std::min(cursor, total);
-    const std::uint64_t end = std::min(begin + max_entries, total);
-    body_u64(body, "total", total);
-    body_u64(body, "cursor_next", end);
-    body_u64(body, "remaining", total - end);
-    body_u64(body, "entries", end - begin);
-    for (std::uint64_t i = begin; i < end; ++i) {
-        const std::string key = "m" + std::to_string(i - begin);
-        body_str(body, key.c_str(),
-                 obs::encode_metric_sample(samples[i]));
-    }
-    return body;
-}
-
-std::string
-trace_export_body(const FlatJsonFields& fields,
-                  const TelemetrySources& telemetry,
-                  const ServerStatsSnapshot& stats)
-{
-    const std::uint64_t cursor = field_uint64(fields, "cursor", 0);
-    std::uint64_t max_events =
-        field_uint64(fields, "max_events", kExportMaxEventsDefault);
-    if (max_events == 0)
-        max_events = 1;
-    if (max_events > kExportMaxEventsCap)
-        max_events = kExportMaxEventsCap;
-
-    std::string body;
-    body_flag(body, "ok", true);
-    body_str(body, "type", "trace_export");
-    body_str(body, "worker_id", stats.worker_id);
-    body_flag(body, "attached", telemetry.trace != nullptr);
-    body_f64(body, "mono_now_s", obs::monotonic_seconds());
-    if (telemetry.trace == nullptr) {
-        body_f64(body, "mono_skew_s", 0.0);
-        body_u64(body, "total", 0);
-        body_u64(body, "dropped", 0);
-        body_u64(body, "cursor_next", 0);
-        body_u64(body, "remaining", 0);
-        body_u64(body, "events", 0);
-        return body;
-    }
-    // session-epoch -> monotonic_seconds() skew: exact (both epochs
-    // are fixed clock points), so the puller maps event timestamps
-    // onto this worker's monotonic timeline without estimation error.
-    body_f64(body, "mono_skew_s",
-             telemetry.trace->epoch_to_monotonic_skew_s());
-    std::uint64_t cursor_next = 0;
-    std::uint64_t remaining = 0;
-    const std::vector<obs::TraceEvent> events =
-        telemetry.trace->export_events(
-            cursor, static_cast<std::size_t>(max_events), cursor_next,
-            remaining);
-    body_u64(body, "total", telemetry.trace->event_count());
-    body_u64(body, "dropped", telemetry.trace->dropped());
-    body_u64(body, "cursor_next", cursor_next);
-    body_u64(body, "remaining", remaining);
-    body_u64(body, "events", events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        const std::string key = "e" + std::to_string(i);
-        body_str(body, key.c_str(), obs::encode_trace_event(events[i]));
-    }
     return body;
 }
 
@@ -639,8 +520,7 @@ append_timing_fields(std::string& response, double queue_wait_s,
 
 std::string
 handle_request_body(const FlatJsonFields& fields, ResponseCache* cache,
-                    const ServerStatsSnapshot& stats,
-                    const TelemetrySources& telemetry)
+                    const ServerStatsSnapshot& stats)
 {
     std::string version;
     if (!json_get_string(fields, "v", version))
@@ -658,10 +538,6 @@ handle_request_body(const FlatJsonFields& fields, ResponseCache* cache,
         return server_stats_body(stats);
     if (type == "health")
         return health_body(stats);
-    if (type == "metrics_snapshot")
-        return metrics_snapshot_body(fields, telemetry, stats);
-    if (type == "trace_export")
-        return trace_export_body(fields, telemetry, stats);
     if (!response_is_memoized(type))
         return error_body(kErrUnknownType,
                           "unknown request type \"" + type + "\"");

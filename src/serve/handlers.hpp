@@ -22,11 +22,6 @@
 #include "common/flat_json.hpp"
 #include "runtime/eval_cache.hpp"
 
-namespace chrysalis::obs {
-class MetricsRegistry;
-class TraceSession;
-}  // namespace chrysalis::obs
-
 namespace chrysalis::serve {
 
 /// Response memo shared across connections: request-key -> body bytes.
@@ -46,8 +41,6 @@ struct ServerStatsSnapshot {
     std::uint64_t requests_run_case = 0;
     std::uint64_t requests_server_stats = 0;
     std::uint64_t requests_health = 0;
-    std::uint64_t requests_metrics_snapshot = 0;
-    std::uint64_t requests_trace_export = 0;
     std::uint64_t errors_total = 0;        ///< "ok":0 replies sent
     std::uint64_t overload_rejections = 0; ///< admission-control refusals
     std::uint64_t batches = 0;             ///< micro-batches dispatched
@@ -63,28 +56,18 @@ struct ServerStatsSnapshot {
     runtime::EvalCacheStats cache;         ///< shared response-memo stats
     /// Stable identity this daemon reports in `server_stats` and
     /// `health` replies (ServerOptions::worker_id, defaulted to
-    /// "<hostname>:<port>" at start()), so fleet coordinators and logs
-    /// can attribute work to workers.
+    /// "<hostname>:<port>" at start()), so clients and logs can
+    /// attribute work to a daemon.
     std::string worker_id;
     double uptime_seconds = 0.0;           ///< seconds since start()
     /// Request-latency summary, computed server-side from the latency
     /// histogram's bucket counts (obs::histogram_quantile) so
     /// operators read a p99 from one `server_stats` call without a
-    /// full metrics pull. Quantiles resolve to bucket upper edges.
+    /// metrics report. Quantiles resolve to bucket upper edges.
     std::uint64_t latency_count = 0;
     double latency_p50_s = 0.0;
     double latency_p95_s = 0.0;
     double latency_p99_s = 0.0;
-};
-
-/// Live telemetry the `metrics_snapshot` / `trace_export` handlers
-/// read from. Both pointers are non-owning and may be null (the
-/// handler replies with `attached:0` and zero entries). Unlike the
-/// stats snapshot these are read at handler time — the whole point of
-/// a pull is current data.
-struct TelemetrySources {
-    obs::MetricsRegistry* metrics = nullptr;
-    obs::TraceSession* trace = nullptr;
 };
 
 /// The client-chosen "id" echo token; 0 when absent or unparsable.
@@ -111,12 +94,10 @@ CacheKey request_cache_key(const FlatJsonFields& fields);
 /// Dispatches one parsed request to its handler. Eval-type responses go
 /// through \p cache when non-null. Never throws and never fatals:
 /// handler-level fatal() (unknown model, bad field value) is converted
-/// to an `"ok":0` body via FatalThrowGuard. \p telemetry feeds the
-/// live `metrics_snapshot` / `trace_export` pull handlers only.
+/// to an `"ok":0` body via FatalThrowGuard.
 std::string handle_request_body(const FlatJsonFields& fields,
                                 ResponseCache* cache,
-                                const ServerStatsSnapshot& stats,
-                                const TelemetrySources& telemetry = {});
+                                const ServerStatsSnapshot& stats);
 
 /// Splices the per-request stage timings into a finished response
 /// (before the trailing '}'): `timing_queue_s`, `timing_decode_s`,

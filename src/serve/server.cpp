@@ -54,38 +54,25 @@ is_error_reply(const std::string& response)
 }
 
 /// Records a traced request's stage spans (request + decode/queue_wait/
-/// eval/encode children) into \p session with explicit timestamps —
-/// directly, not via ScopedSpan, so the spans land in the *server's*
-/// telemetry session (which in-process multi-server tests keep
-/// per-server) rather than whatever the global happens to be. All
-/// inputs are monotonic_seconds() readings; the exact session skew
-/// maps them onto the session epoch.
+/// eval/encode children) into \p session. The stages are timed after
+/// the fact, so the spans carry explicit monotonic_seconds() timestamps
+/// instead of coming from ScopedSpan; they inherit the request's trace
+/// context, which the caller has installed on this thread.
 void
-record_stage_spans(obs::TraceSession& session,
-                   const obs::TraceContext& context, double decode_s,
+record_stage_spans(obs::TraceSession& session, double decode_s,
                    double enqueue_mono_s, double queue_wait_s,
                    double eval_start_s, double eval_end_s,
                    double encode_end_s)
 {
-    const double skew_s = session.epoch_to_monotonic_skew_s();
-    const auto add = [&](const char* name, double start_mono_s,
-                         double duration_s, std::uint32_t depth) {
-        obs::TraceEvent event;
-        event.name = name;
-        event.depth = depth;
-        event.start_us = (start_mono_s - skew_s) * 1e6;
-        event.duration_us = duration_s * 1e6;
-        event.trace_id = context.trace_id;
-        event.case_index = context.case_index;
-        session.add_event(std::move(event));
-    };
     const double decode_start_s = enqueue_mono_s - decode_s;
-    add("serve/request", decode_start_s, encode_end_s - decode_start_s,
-        0);
-    add("serve/decode", decode_start_s, decode_s, 1);
-    add("serve/queue_wait", enqueue_mono_s, queue_wait_s, 1);
-    add("serve/eval", eval_start_s, eval_end_s - eval_start_s, 1);
-    add("serve/encode", eval_end_s, encode_end_s - eval_end_s, 1);
+    session.add_span("serve/request", decode_start_s,
+                     encode_end_s - decode_start_s, 0);
+    session.add_span("serve/decode", decode_start_s, decode_s, 1);
+    session.add_span("serve/queue_wait", enqueue_mono_s, queue_wait_s, 1);
+    session.add_span("serve/eval", eval_start_s, eval_end_s - eval_start_s,
+                     1);
+    session.add_span("serve/encode", eval_end_s, encode_end_s - eval_end_s,
+                     1);
 }
 
 }  // namespace
@@ -579,7 +566,7 @@ Server::ingest_payload(Connection& connection, const std::string& payload)
     std::string type;
     json_get_string(fields, "type", type);
     request.type = type;
-    // Distributed-trace context rides along as an optional field; a
+    // A client's trace context rides along as an optional field; a
     // malformed value is ignored (tracing must never fail a request).
     std::string trace_field;
     if (json_get_string(fields, "trace", trace_field) &&
@@ -608,10 +595,6 @@ Server::ingest_payload(Connection& connection, const std::string& payload)
             ++counters_.requests_server_stats;
         else if (type == "health")
             ++counters_.requests_health;
-        else if (type == "metrics_snapshot")
-            ++counters_.requests_metrics_snapshot;
-        else if (type == "trace_export")
-            ++counters_.requests_trace_export;
     }
     bump("serve/requests");
     pending_.push_back(std::move(request));
@@ -648,15 +631,7 @@ Server::dispatch_batch()
         registry->gauge("serve/queue_depth", obs::Stability::kVolatile)
             .set(static_cast<double>(pending_.size()));
 
-    // Telemetry sources resolve per batch: explicit options win, else
-    // the process globals (nullptr disables the corresponding export).
-    TelemetrySources telemetry;
-    telemetry.metrics = options_.metrics_source != nullptr
-                            ? options_.metrics_source
-                            : obs::metrics();
-    telemetry.trace = options_.trace_source != nullptr
-                          ? options_.trace_source
-                          : obs::trace();
+    obs::TraceSession* const trace_session = obs::trace();
     const double dispatch_start_s = obs::monotonic_seconds();
 
     std::vector<std::string> responses;
@@ -668,7 +643,7 @@ Server::dispatch_batch()
                 return finish_response(
                     request.id,
                     handle_request_body(request.fields, cache_.get(),
-                                        snapshot, telemetry));
+                                        snapshot));
             }
             // Traced request: install the caller's context (spans
             // recorded by the handler inherit it), measure each stage
@@ -679,7 +654,7 @@ Server::dispatch_batch()
                 dispatch_start_s - request.enqueue_mono_s;
             const double eval_start_s = obs::monotonic_seconds();
             const std::string body = handle_request_body(
-                request.fields, cache_.get(), snapshot, telemetry);
+                request.fields, cache_.get(), snapshot);
             const double eval_end_s = obs::monotonic_seconds();
             std::string response = finish_response(request.id, body);
             const double encode_end_s = obs::monotonic_seconds();
@@ -687,9 +662,8 @@ Server::dispatch_batch()
                                  request.decode_s,
                                  eval_end_s - eval_start_s,
                                  encode_end_s - eval_end_s);
-            if (telemetry.trace != nullptr)
-                record_stage_spans(*telemetry.trace, request.trace_ctx,
-                                   request.decode_s,
+            if (trace_session != nullptr)
+                record_stage_spans(*trace_session, request.decode_s,
                                    request.enqueue_mono_s, queue_wait_s,
                                    eval_start_s, eval_end_s,
                                    encode_end_s);
@@ -700,8 +674,8 @@ Server::dispatch_batch()
     for (std::size_t i = 0; i < count; ++i) {
         const double latency_s = batch[i].timer->elapsed_s();
         latency_hist_.record(latency_s);
-        if (telemetry.metrics != nullptr)
-            telemetry.metrics
+        if (obs::MetricsRegistry* registry = obs::metrics())
+            registry
                 ->histogram("serve/request_latency_s",
                             obs::latency_bounds(),
                             obs::Stability::kVolatile)

@@ -93,19 +93,11 @@ struct ServerOptions {
     /// production. Non-owning — the caller keeps the injector alive
     /// for the server's lifetime.
     const fault::NetFaultInjector* chaos = nullptr;
-    /// Identity reported in `server_stats`/`health` replies so fleet
-    /// coordinators can attribute work to workers. Empty (the default)
+    /// Identity reported in `server_stats`/`health` replies so clients
+    /// and logs can attribute work to a daemon. Empty (the default)
     /// resolves to "<hostname>:<port>" at start(), after the listening
     /// port is known.
     std::string worker_id;
-    /// Telemetry the `metrics_snapshot` / `trace_export` pull handlers
-    /// export, and (for the trace) where traced requests' stage spans
-    /// are recorded. Non-owning; nullptr (the default) falls back to
-    /// the process-global obs::metrics()/obs::trace() at request time
-    /// — a daemon just attaches globals, while in-process multi-server
-    /// tests give each server its own session so pulls stay distinct.
-    obs::MetricsRegistry* metrics_source = nullptr;
-    obs::TraceSession* trace_source = nullptr;
 
     void validate() const;
 };

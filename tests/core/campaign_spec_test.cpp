@@ -1,6 +1,6 @@
 /// \file
 /// CampaignSpec wire round-trips and the deterministic-journal
-/// guarantees the distributed coordinator builds on: a spec encodes to
+/// guarantees `run_case` replies build on: a spec encodes to
 /// flat fields and back without loss, cases built from a spec match the
 /// classic CLI campaign scheme, deterministic_record() strips exactly
 /// the volatile fields, and a deterministic journal is byte-stable

@@ -60,9 +60,10 @@ TEST(LayerSpecParse, BuiltinDescribesTheRealTree)
     const LayerSpec& spec = LayerSpec::builtin();
     ASSERT_NE(spec.ranks.count("common"), 0u);
     EXPECT_EQ(spec.ranks.at("common"), 0);  // the foundation
-    EXPECT_NE(spec.ranks.count("serve"), 0u);
-    EXPECT_NE(spec.ranks.count("dist"), 0u);
-    EXPECT_LT(spec.ranks.at("serve"), spec.ranks.at("dist"));
+    ASSERT_NE(spec.ranks.count("serve"), 0u);
+    EXPECT_LT(spec.ranks.at("core"), spec.ranks.at("serve"));
+    for (const auto& [module, rank] : spec.ranks)
+        EXPECT_LE(rank, spec.ranks.at("serve")) << module;  // the top
     EXPECT_NE(spec.top.count("tools"), 0u);
     EXPECT_NE(spec.top.count("tests"), 0u);
 }

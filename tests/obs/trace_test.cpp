@@ -1,7 +1,8 @@
 /// \file
 /// Tests for tracing spans: inertness without a session, nesting depth,
-/// multi-thread merge, Chrome trace-event JSON shape and the SpanTimer
-/// dual role (always times, records only when attached).
+/// multi-thread merge, Chrome trace-event JSON shape, monotonic-timed
+/// spans (add_span) and the SpanTimer dual role (always times, records
+/// only when attached).
 
 #include "obs/trace.hpp"
 
@@ -146,74 +147,33 @@ TEST(TraceSessionTest, DestructorDetachesItself)
     OBS_SPAN("after death");
 }
 
-TEST(TraceSessionTest, PerThreadCapCountsDrops)
+TEST(TraceSessionTest, AddSpanLandsOnTheSessionTimeline)
 {
     TraceSession session;
-    session.set_max_events_per_thread(3);
-    for (int i = 0; i < 10; ++i) {
-        TraceEvent event;
-        event.name = "e" + std::to_string(i);
-        session.add_event(std::move(event));
+    {
+        ScopedTrace scope(session);
+        TraceContext context;
+        context.trace_id = 0x42;
+        context.case_index = 3;
+        ScopedTraceContext scoped_context(context);
+        OBS_SPAN("outer");
+        // A stage timed with monotonic readings taken inside "outer"
+        // must map inside it: both epochs are fixed clock points.
+        session.add_span("stage", monotonic_seconds(), 0.0, 1);
     }
-    EXPECT_EQ(session.event_count(), 3u);
-    EXPECT_EQ(session.dropped(), 7u);
-    // The survivors are the earliest events, in append order.
     const std::vector<TraceEvent> events = session.merged();
-    ASSERT_EQ(events.size(), 3u);
-    EXPECT_EQ(events[0].name, "e0");
-    EXPECT_EQ(events[2].name, "e2");
-}
-
-TEST(TraceSessionTest, ExportCursorSurvivesLaterAppends)
-{
-    TraceSession session;
-    const auto add = [&session](const std::string& name) {
-        TraceEvent event;
-        event.name = name;
-        session.add_event(event);
-    };
-    add("a");
-    add("b");
-    add("c");
-
-    std::uint64_t cursor_next = 0;
-    std::uint64_t remaining = 0;
-    std::vector<TraceEvent> page =
-        session.export_events(0, 2, cursor_next, remaining);
-    ASSERT_EQ(page.size(), 2u);
-    EXPECT_EQ(page[0].name, "a");
-    EXPECT_EQ(page[1].name, "b");
-    EXPECT_EQ(remaining, 1u);
-
-    // Events appended between pages must not invalidate the cursor or
-    // resurface already-exported events.
-    add("d");
-    page = session.export_events(cursor_next, 8, cursor_next, remaining);
-    ASSERT_EQ(page.size(), 2u);
-    EXPECT_EQ(page[0].name, "c");
-    EXPECT_EQ(page[1].name, "d");
-    EXPECT_EQ(remaining, 0u);
-
-    // Drained: a further pull from the final cursor is empty.
-    page = session.export_events(cursor_next, 8, cursor_next, remaining);
-    EXPECT_TRUE(page.empty());
-    EXPECT_EQ(remaining, 0u);
-}
-
-TEST(TraceSessionTest, EpochSkewIsStable)
-{
-    TraceSession session;
-    const double skew_a = session.epoch_to_monotonic_skew_s();
-    const double skew_b = session.epoch_to_monotonic_skew_s();
-    // Both epochs are fixed clock points, so the skew is a constant of
-    // the session — that exactness is what fleet alignment leans on.
-    EXPECT_DOUBLE_EQ(skew_a, skew_b);
-    // session time + skew lands on the monotonic_seconds() timeline.
-    const double mono_before = monotonic_seconds();
-    const double mapped = session.seconds_since_epoch() + skew_a;
-    const double mono_after = monotonic_seconds();
-    EXPECT_GE(mapped, mono_before - 1e-9);
-    EXPECT_LE(mapped, mono_after + 1e-9);
+    ASSERT_EQ(events.size(), 2u);
+    const bool outer_first = events[0].name == "outer";
+    const TraceEvent& outer = events[outer_first ? 0 : 1];
+    const TraceEvent& stage = events[outer_first ? 1 : 0];
+    ASSERT_EQ(stage.name, "stage");
+    // Tolerances absorb double rounding of two equal clock readings.
+    EXPECT_GE(stage.start_us, outer.start_us - 1e-3);
+    EXPECT_LE(stage.start_us, outer.start_us + outer.duration_us + 1e-3);
+    EXPECT_EQ(stage.depth, 1u);
+    // Like any recorded span it inherits the thread's trace context.
+    EXPECT_EQ(stage.trace_id, 0x42u);
+    EXPECT_EQ(stage.case_index, 3);
 }
 
 TEST(SpanTimerTest, TimesWithoutSession)

@@ -6,11 +6,14 @@
 /// `threads = hardware_concurrency()` by default.
 
 #include <cmath>
+#include <memory>
 #include <mutex>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "core/campaign.hpp"
+#include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
 #include "search/bilevel_explorer.hpp"
 #include "search/nsga2.hpp"
@@ -238,35 +241,50 @@ TEST(ParallelDeterminismTest, RepeatedExploreIsServedFromCache)
 
 TEST(ParallelDeterminismTest, CampaignMatchesSerialAtTwoThreads)
 {
-    std::vector<core::CampaignCase> cases;
-    cases.push_back({"conv", dnn::make_simple_conv(),
-                     DesignSpace::existing_aut(),
-                     {ObjectiveKind::kLatSp, 0.0, 0.0}});
-    cases.push_back({"kws", dnn::make_kws_mlp(),
-                     DesignSpace::existing_aut(),
-                     {ObjectiveKind::kLatency, 10.0, 0.0}});
+    // `chrysalis_cli campaign --model kws --cases 24 --population 4
+    // --generations 2`, whose case kws-sp-11 proposes a duplicate
+    // candidate within one fitness batch. The base options ask for a
+    // 4-thread GA: were it honoured when the campaign runs cases on the
+    // caller (threads = 1), both duplicates could miss the memo, and
+    // the hit/miss split — a deterministic CSV column — would depend on
+    // the campaign's thread count.
+    core::CampaignSpec spec;
+    spec.cases = 24;
+    spec.population = 4;
+    spec.generations = 2;
+    const std::vector<core::CampaignCase> cases =
+        core::build_campaign_cases(spec, dnn::make_model(spec.model));
+    std::unique_ptr<fault::FaultInjector> faults;
+    ExplorerOptions base = core::build_explorer_options(spec, faults);
+    base.outer.threads = 4;
 
-    const auto serial =
-        core::run_campaign(cases, explorer_options(1, 1024));
+    const auto serial = core::run_campaign(cases, base);
     core::CampaignOptions campaign_options;
     campaign_options.threads = 2;
-    const auto parallel = core::run_campaign(
-        cases, explorer_options(1, 1024), campaign_options);
+    const auto parallel =
+        core::run_campaign(cases, base, campaign_options);
     ASSERT_EQ(serial.entries.size(), parallel.entries.size());
     for (std::size_t i = 0; i < serial.entries.size(); ++i) {
-        EXPECT_EQ(serial.entries[i].label, parallel.entries[i].label);
-        EXPECT_EQ(serial.entries[i].solution.score,
-                  parallel.entries[i].solution.score)
-            << i;
-        EXPECT_EQ(serial.entries[i].solution.mean_latency_s,
-                  parallel.entries[i].solution.mean_latency_s)
-            << i;
-        EXPECT_EQ(serial.entries[i].solution.evaluations,
-                  parallel.entries[i].solution.evaluations)
-            << i;
-        EXPECT_GE(parallel.entries[i].wall_time_s, 0.0);
+        const auto& a = serial.entries[i];
+        const auto& b = parallel.entries[i];
+        EXPECT_EQ(a.label, b.label);
+        EXPECT_EQ(a.solution.score, b.solution.score) << a.label;
+        EXPECT_EQ(a.solution.mean_latency_s, b.solution.mean_latency_s)
+            << a.label;
+        EXPECT_EQ(a.solution.evaluations, b.solution.evaluations)
+            << a.label;
+        EXPECT_EQ(a.solution.cache_hits, b.solution.cache_hits) << a.label;
+        EXPECT_EQ(a.solution.cache_misses, b.solution.cache_misses)
+            << a.label;
+        EXPECT_GE(b.wall_time_s, 0.0);
     }
     EXPECT_GE(parallel.wall_time_s, 0.0);
+
+    std::ostringstream serial_csv;
+    std::ostringstream parallel_csv;
+    serial.write_csv(serial_csv, core::CsvColumns::kDeterministic);
+    parallel.write_csv(parallel_csv, core::CsvColumns::kDeterministic);
+    EXPECT_EQ(serial_csv.str(), parallel_csv.str());
 }
 
 }  // namespace

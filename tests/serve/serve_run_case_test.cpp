@@ -1,7 +1,6 @@
-// The run_case request type — the distributed coordinator's unit of
-// work — plus the worker-identity fields that ride along in this PR:
-// the reply must equal the local run_campaign_case result with wall
-// times stripped (the byte-identity building block), run_case must be
+// The run_case request type — one campaign case per request — plus the
+// daemon-identity fields: the reply must equal the local
+// run_campaign_case result with wall times stripped, run_case must be
 // memoized (hence client-retryable), and health/server_stats must
 // report worker_id and uptime_seconds.
 
@@ -83,8 +82,8 @@ TEST(ServeRunCase, ReplyMatchesLocalRunCampaignCase)
                 ""));
 
         // Same serialized record — label, metrics, %.17g doubles, all
-        // of it. This equality is the distributed byte-identity
-        // guarantee at the granularity of one case.
+        // of it: a case evaluated by a daemon is byte-identical to the
+        // same case in a local campaign.
         EXPECT_EQ(core::to_json_line(remote),
                   core::to_json_line(local));
         EXPECT_EQ(remote.label,

@@ -1,20 +1,16 @@
-// Fleet telemetry handler tests: memo-exemption of the `trace` field
-// (tracing is observability, never semantics), timing splices staying
-// out of cached bytes, and the bounded cursor-resumable
-// `metrics_snapshot` / `trace_export` pull handlers.
+// Request-tracing handler tests: the `trace` field round trip, its
+// memo exemption (tracing is observability, never semantics), timing
+// splices staying out of cached bytes, and the server_stats latency
+// quantiles.
 
 #include "serve/handlers.hpp"
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/flat_json.hpp"
-#include "obs/fleet.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace {
@@ -23,20 +19,7 @@ using namespace chrysalis;
 
 FlatJsonFields base_request(const std::string& type)
 {
-    FlatJsonFields fields;
-    fields["v"] = serve::kProtocolVersion;
-    fields["id"] = "7";
-    fields["type"] = type;
-    return fields;
-}
-
-std::uint64_t field_u64(const FlatJsonFields& fields, const char* name)
-{
-    const auto it = fields.find(name);
-    EXPECT_NE(it, fields.end()) << "missing field " << name;
-    if (it == fields.end())
-        return 0;
-    return static_cast<std::uint64_t>(std::stoull(it->second));
+    return {{"v", serve::kProtocolVersion}, {"id", "7"}, {"type", type}};
 }
 
 TEST(TraceField, RoundTripsAndRejectsMalformed)
@@ -133,18 +116,6 @@ TEST(Handlers, AppendTimingFieldsSplicesBeforeClosingBrace)
     EXPECT_EQ(fields.at("timing_encode_s"), "0.125");
 }
 
-TEST(Handlers, HealthReportsMonotonicNow)
-{
-    serve::ServerStatsSnapshot stats;
-    stats.worker_id = "w1";
-    const std::string body = serve::handle_request_body(
-        base_request("health"), nullptr, stats);
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-    EXPECT_EQ(fields.at("worker_id"), "w1");
-    EXPECT_NE(fields.find("mono_now_s"), fields.end()) << body;
-}
-
 TEST(Handlers, ServerStatsReportsLatencyQuantiles)
 {
     serve::ServerStatsSnapshot stats;
@@ -160,178 +131,6 @@ TEST(Handlers, ServerStatsReportsLatencyQuantiles)
     EXPECT_EQ(fields.at("latency_p50_s"), "0.5");
     EXPECT_EQ(fields.at("latency_p95_s"), "2");
     EXPECT_EQ(fields.at("latency_p99_s"), "4");
-}
-
-TEST(Handlers, PullTypesAreNeverMemoized)
-{
-    EXPECT_FALSE(serve::response_is_memoized("metrics_snapshot"));
-    EXPECT_FALSE(serve::response_is_memoized("trace_export"));
-
-    // And they bypass the cache entirely: live state must be re-read
-    // on every pull.
-    serve::ServerStatsSnapshot stats;
-    serve::ResponseCache cache(64);
-    serve::handle_request_body(base_request("metrics_snapshot"), &cache,
-                               stats);
-    serve::handle_request_body(base_request("trace_export"), &cache,
-                               stats);
-    EXPECT_EQ(cache.stats().misses, 0u);
-    EXPECT_EQ(cache.stats().insertions, 0u);
-}
-
-TEST(Handlers, MetricsSnapshotWithoutSourceReportsDetached)
-{
-    serve::ServerStatsSnapshot stats;
-    const std::string body = serve::handle_request_body(
-        base_request("metrics_snapshot"), nullptr, stats);
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-    EXPECT_EQ(fields.at("ok"), "1");
-    EXPECT_EQ(fields.at("attached"), "0");
-    EXPECT_EQ(fields.at("total"), "0");
-    EXPECT_EQ(fields.at("remaining"), "0");
-    EXPECT_EQ(fields.at("entries"), "0");
-}
-
-TEST(Handlers, MetricsSnapshotPagesUntilDrained)
-{
-    obs::MetricsRegistry registry;
-    registry.counter("alpha").add(3);
-    registry.counter("beta").add(5);
-    registry.gauge("gamma").set(1.5);
-    registry.histogram("delta", {1.0, 2.0}).record(0.5);
-    registry.counter("epsilon").add(1);
-
-    serve::ServerStatsSnapshot stats;
-    serve::TelemetrySources telemetry;
-    telemetry.metrics = &registry;
-
-    const std::vector<obs::MetricSample> expected = registry.samples();
-    std::vector<obs::MetricSample> pulled;
-    std::uint64_t cursor = 0;
-    int pages = 0;
-    while (true) {
-        FlatJsonFields request = base_request("metrics_snapshot");
-        request["cursor"] = std::to_string(cursor);
-        request["max_entries"] = "2";
-        const std::string body = serve::handle_request_body(
-            request, nullptr, stats, telemetry);
-        FlatJsonFields fields;
-        ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-        ASSERT_EQ(fields.at("attached"), "1");
-        ASSERT_EQ(field_u64(fields, "total"), expected.size());
-        const std::uint64_t entries = field_u64(fields, "entries");
-        ASSERT_LE(entries, 2u);
-        for (std::uint64_t i = 0; i < entries; ++i) {
-            obs::MetricSample sample;
-            ASSERT_TRUE(obs::decode_metric_sample(
-                fields.at("m" + std::to_string(i)), sample));
-            pulled.push_back(std::move(sample));
-        }
-        cursor = field_u64(fields, "cursor_next");
-        ++pages;
-        if (field_u64(fields, "remaining") == 0)
-            break;
-        ASSERT_LT(pages, 16) << "cursor failed to make progress";
-    }
-    EXPECT_EQ(pages, 3);  // 5 samples at 2 per page
-    ASSERT_EQ(pulled.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(pulled[i].name, expected[i].name) << i;
-        EXPECT_EQ(pulled[i].kind, expected[i].kind) << i;
-        EXPECT_EQ(pulled[i].count, expected[i].count) << i;
-        EXPECT_EQ(pulled[i].value, expected[i].value) << i;
-    }
-}
-
-TEST(Handlers, TraceExportWithoutSourceReportsDetached)
-{
-    serve::ServerStatsSnapshot stats;
-    const std::string body = serve::handle_request_body(
-        base_request("trace_export"), nullptr, stats);
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-    EXPECT_EQ(fields.at("ok"), "1");
-    EXPECT_EQ(fields.at("attached"), "0");
-    EXPECT_EQ(fields.at("events"), "0");
-    EXPECT_EQ(fields.at("remaining"), "0");
-}
-
-TEST(Handlers, TraceExportCursorResumesWithoutDuplicates)
-{
-    obs::TraceSession session;
-    constexpr int kEvents = 10;
-    for (int i = 0; i < kEvents; ++i) {
-        obs::TraceEvent event;
-        event.name = "span" + std::to_string(i);
-        event.start_us = 100.0 * i;  // NOLINT(chrysalis-unit-suffix)
-        event.duration_us = 10.0;    // NOLINT(chrysalis-unit-suffix)
-        session.add_event(std::move(event));
-    }
-
-    serve::ServerStatsSnapshot stats;
-    serve::TelemetrySources telemetry;
-    telemetry.trace = &session;
-
-    std::vector<obs::TraceEvent> pulled;
-    std::uint64_t cursor = 0;
-    int pages = 0;
-    while (true) {
-        FlatJsonFields request = base_request("trace_export");
-        request["cursor"] = std::to_string(cursor);
-        request["max_events"] = "3";
-        const std::string body = serve::handle_request_body(
-            request, nullptr, stats, telemetry);
-        FlatJsonFields fields;
-        ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-        ASSERT_EQ(fields.at("attached"), "1");
-        ASSERT_EQ(field_u64(fields, "total"),
-                  static_cast<std::uint64_t>(kEvents));
-        ASSERT_EQ(field_u64(fields, "dropped"), 0u);
-        ASSERT_NE(fields.find("mono_skew_s"), fields.end());
-        const std::uint64_t events = field_u64(fields, "events");
-        ASSERT_LE(events, 3u);
-        for (std::uint64_t i = 0; i < events; ++i) {
-            obs::TraceEvent event;
-            ASSERT_TRUE(obs::decode_trace_event(
-                fields.at("e" + std::to_string(i)), event));
-            pulled.push_back(std::move(event));
-        }
-        cursor = field_u64(fields, "cursor_next");
-        ++pages;
-        if (field_u64(fields, "remaining") == 0)
-            break;
-        ASSERT_LT(pages, 16) << "cursor failed to make progress";
-    }
-    EXPECT_EQ(pages, 4);  // 10 events at 3 per page
-    ASSERT_EQ(pulled.size(), static_cast<std::size_t>(kEvents));
-    // Append order within the thread, no duplicates, no gaps.
-    for (int i = 0; i < kEvents; ++i)
-        EXPECT_EQ(pulled[static_cast<std::size_t>(i)].name,
-                  "span" + std::to_string(i));
-}
-
-TEST(Handlers, TraceExportClampsPageSize)
-{
-    obs::TraceSession session;
-    obs::TraceEvent event;
-    event.name = "only";
-    session.add_event(std::move(event));
-
-    serve::ServerStatsSnapshot stats;
-    serve::TelemetrySources telemetry;
-    telemetry.trace = &session;
-
-    // max_events=0 would never make progress; the handler raises it to
-    // one so every page moves the cursor.
-    FlatJsonFields request = base_request("trace_export");
-    request["max_events"] = "0";
-    const std::string body =
-        serve::handle_request_body(request, nullptr, stats, telemetry);
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json("{" + body + "}", fields));
-    EXPECT_EQ(field_u64(fields, "events"), 1u);
-    EXPECT_EQ(field_u64(fields, "remaining"), 0u);
 }
 
 }  // namespace

@@ -48,7 +48,6 @@ constexpr const char* kClockAllowedPrefix = "src/obs/";
 /// in favour of format_double_17g() (prefix match, extension-agnostic).
 constexpr const char* kReportPathPrefixes[] = {
     "src/core/campaign",      // campaign.cpp/hpp + campaign_journal.*
-    "src/dist/",              // merged output must stay byte-identical
     "src/obs/metrics",
     "src/common/table",
     "bench/common/bench_util",

@@ -31,7 +31,6 @@ sim = 3
 search = 4
 core = 5
 serve = 6
-dist = 7
 top = tools tests bench examples
 )";
 
