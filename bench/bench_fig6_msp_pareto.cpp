@@ -6,9 +6,12 @@
 /// original configuration (P_in = 6 mW, C = 1 mF).
 ///
 /// Paper anchor: "Taking CIFAR as an example ... the final result of this
-/// search shows a 50.8% improvement over the original system."
+/// search shows a 50.8% improvement over the original system." The bench
+/// prints CIFAR-10's own improvement beside it, and the mean over the
+/// four applications on its own.
 
 #include <iostream>
+#include <optional>
 
 #include "common/bench_util.hpp"
 #include "common/math_utils.hpp"
@@ -30,6 +33,7 @@ main()
                                       0.0};
 
     std::vector<double> improvements;
+    std::optional<double> cifar10_improvement;
     for (const auto& name : dnn::table4_workloads()) {
         const dnn::Model model = dnn::make_model(name);
         core::ChrysalisInputs inputs{
@@ -73,6 +77,8 @@ main()
             const double gain =
                 relative_improvement(reference.lat_sp, best.lat_sp);
             improvements.push_back(gain);
+            if (name == "cifar10")
+                cifar10_improvement = gain;
             std::cout << "  (iNAS original: "
                       << format_fixed(reference.lat_sp, 2)
                       << " cm^2*s -> improvement "
@@ -84,15 +90,25 @@ main()
         std::cout << "\n";
     }
 
+    // The paper's anchor is CIFAR-10's own gain; the mean over all
+    // applications has no paper counterpart.
+    if (cifar10_improvement) {
+        bench::headline("cifar10_improvement", *cifar10_improvement);
+        std::cout << "\nCIFAR-10 lat*sp improvement over the iNAS original"
+                     " configuration: "
+                  << format_percent(*cifar10_improvement)
+                  << " (paper: 50.8%).\n";
+    }
     if (!improvements.empty()) {
         bench::headline("mean_improvement",
                         summarize(improvements).mean);
         bench::headline("workloads",
                         static_cast<double>(improvements.size()));
-        std::cout << "\nAverage lat*sp improvement over the iNAS original"
+        std::cout << improvements.size()
+                  << "-app mean lat*sp improvement over the iNAS original"
                      " configuration: "
                   << format_percent(summarize(improvements).mean)
-                  << " (paper reports 50.8% for CIFAR-10).\n";
+                  << ".\n";
     }
     return 0;
 }

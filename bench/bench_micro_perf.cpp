@@ -1,9 +1,11 @@
 /// \file
 /// Micro-benchmarks (google-benchmark) for the framework's hot paths:
 /// per-layer cost analysis, whole-model analysis, the analytic evaluator,
-/// the SW-level mapping search, simulator stepping, and a full GA
-/// generation. These quantify the analytic-vs-step-simulation ablation
-/// called out in DESIGN.md.
+/// the SW-level mapping search (whole, and ranking a prebuilt grid),
+/// simulator stepping, and a full GA generation. These quantify the
+/// analytic-vs-step-simulation ablation called out in DESIGN.md. Each
+/// case's real time per iteration becomes a `<case>_ns` headline of the
+/// run report.
 
 #include <benchmark/benchmark.h>
 
@@ -112,6 +114,23 @@ BM_MappingSearchCifar(benchmark::State& state)
 BENCHMARK(BM_MappingSearchCifar)->Arg(4)->Arg(6)->Arg(8);
 
 void
+BM_MappingGridSearchCifar(benchmark::State& state)
+{
+    // The ranking half of BM_MappingSearchCifar: the grid is analyzed
+    // once, as a fixed-hardware explorer does, and each iteration ranks
+    // it against one environment.
+    const auto model = dnn::make_cifar10_cnn();
+    const search::MappingGrid grid(model, hw::Msp430Lea(),
+                                   static_cast<std::size_t>(state.range(0)));
+    sim::EnergyEnv env;
+    env.p_eh_w = 16e-3;
+    const std::vector<sim::EnergyEnv> envs = {env};
+    for (auto _ : state)
+        benchmark::DoNotOptimize(grid.rank(envs));
+}
+BENCHMARK(BM_MappingGridSearchCifar)->Arg(4)->Arg(6)->Arg(8);
+
+void
 BM_ExplorerGeneration(benchmark::State& state)
 {
     // One full outer-GA evaluation batch on the quickstart scenario.
@@ -150,6 +169,52 @@ BM_EnergyControllerStep(benchmark::State& state)
 }
 BENCHMARK(BM_EnergyControllerStep);
 
+/// Passes every run on to the default display reporter (so the console
+/// flags still apply) and records each case's real time per iteration as
+/// a `<case>_ns` headline, e.g. `BM_MappingSearchCifar/6_ns`. With
+/// repetitions, the median stands for the case.
+class HeadlineReporter : public benchmark::BenchmarkReporter
+{
+  public:
+    bool
+    ReportContext(const Context& context) override
+    {
+        return display_->ReportContext(context);
+    }
+
+    void
+    ReportRuns(const std::vector<Run>& runs) override
+    {
+        for (const Run& run : runs) {
+            const bool stands_for_case =
+                run.run_type == Run::RT_Aggregate
+                    ? run.aggregate_name == "median"
+                    : run.repetitions <= 1;
+            if (run.error_occurred || !stands_for_case)
+                continue;
+            std::string name = run.run_name.function_name;
+            if (!run.run_name.args.empty())
+                name += "/" + run.run_name.args;
+            bench::headline(name + "_ns",
+                            run.GetAdjustedRealTime() * 1e9 /
+                                benchmark::GetTimeUnitMultiplier(
+                                    run.time_unit));
+        }
+        display_->ReportRuns(runs);
+    }
+
+    void
+    Finalize() override
+    {
+        display_->Finalize();
+    }
+
+  private:
+    /// Owned by the library.
+    benchmark::BenchmarkReporter* display_ =
+        benchmark::CreateDefaultDisplayReporter();
+};
+
 }  // namespace
 
 int
@@ -164,7 +229,8 @@ main(int argc, char** argv)
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
-    benchmark::RunSpecifiedBenchmarks();
+    HeadlineReporter reporter;
+    benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     return 0;
 }

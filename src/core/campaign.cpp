@@ -103,11 +103,13 @@ run_case(const CampaignCase& campaign_case,
     // case ran on the caller (all-cores GA) or on a campaign worker
     // (nested batches inline).
     options.outer.threads = 1;
+    // Timed from before the explorer exists: on a fixed-hardware space
+    // its constructor analyzes the case's mapping grid.
+    obs::SpanTimer timer("case:" + campaign_case.label);
+    const double cpu_before = obs::thread_cpu_seconds();
     ChrysalisInputs inputs{campaign_case.model, campaign_case.space,
                            campaign_case.objective, options};
     const Chrysalis tool(std::move(inputs));
-    obs::SpanTimer timer("case:" + campaign_case.label);
-    const double cpu_before = obs::thread_cpu_seconds();
     AuTSolution solution = tool.generate();
     CampaignEntry entry;
     entry.label = campaign_case.label;

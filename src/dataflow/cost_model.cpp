@@ -289,20 +289,8 @@ analyze_model(const dnn::Model& model,
 
     ModelCost total;
     total.layers.reserve(model.layer_count());
-    for (std::size_t i = 0; i < model.layer_count(); ++i) {
-        LayerCost cost = analyze_layer(model.layer(i), mappings[i], params);
-        total.feasible = total.feasible && cost.feasible;
-        total.time_s += cost.time_s;
-        total.e_compute_j += cost.e_compute_j;
-        total.e_vm_j += cost.e_vm_j;
-        total.e_nvm_j += cost.e_nvm_j;
-        total.e_static_j += cost.e_static_j;
-        total.e_ckpt_j += cost.e_ckpt_j;
-        total.n_tile += cost.n_tile;
-        total.nvm_read_bytes += cost.nvm_read_bytes;
-        total.nvm_write_bytes += cost.nvm_write_bytes;
-        total.layers.push_back(std::move(cost));
-    }
+    for (std::size_t i = 0; i < model.layer_count(); ++i)
+        total.add_layer(analyze_layer(model.layer(i), mappings[i], params));
     return total;
 }
 
@@ -314,6 +302,22 @@ analyze_model_untiled(const dnn::Model& model, Dataflow dataflow,
     for (auto& mapping : mappings)
         mapping.dataflow = dataflow;
     return analyze_model(model, mappings, params);
+}
+
+void
+ModelCost::add_layer(LayerCost cost)
+{
+    feasible = feasible && cost.feasible;
+    time_s += cost.time_s;
+    e_compute_j += cost.e_compute_j;
+    e_vm_j += cost.e_vm_j;
+    e_nvm_j += cost.e_nvm_j;
+    e_static_j += cost.e_static_j;
+    e_ckpt_j += cost.e_ckpt_j;
+    n_tile += cost.n_tile;
+    nvm_read_bytes += cost.nvm_read_bytes;
+    nvm_write_bytes += cost.nvm_write_bytes;
+    layers.push_back(std::move(cost));
 }
 
 double

@@ -126,6 +126,10 @@ struct ModelCost {
         return e_compute_j + e_vm_j + e_nvm_j + e_static_j + e_ckpt_j;
     }
 
+    /// Appends the next layer's cost and adds it into the totals. The
+    /// totals are floating-point sums, so callers add in layer order.
+    void add_layer(LayerCost cost);
+
     /// Largest single-tile energy across layers — the quantity that must
     /// fit in one energy cycle (Eq. 8: E_tile <= E_available).
     double max_tile_energy_j() const;

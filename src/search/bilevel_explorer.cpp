@@ -70,6 +70,14 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
         cache_ = std::make_unique<runtime::EvalCache<EvaluatedDesign>>(
             options_.cache_capacity);
     }
+
+    if (space_.fixes_hardware() &&
+        options_.inner.strategy ==
+            MappingSearchOptions::Strategy::kExhaustive) {
+        OBS_SPAN("search/inner");
+        grid_.emplace(model_, *space_.clamp(space_.defaults).build_hardware(),
+                      options_.inner.max_candidates_per_dim);
+    }
 }
 
 CacheKey
@@ -125,11 +133,15 @@ BiLevelExplorer::evaluate(const HwCandidate& raw_candidate) const
 {
     EvaluatedDesign design;
     design.candidate = space_.clamp(raw_candidate);
-    const auto hardware = design.candidate.build_hardware();
     const auto envs = environments(design.candidate);
-
-    design.mapping =
-        search_mappings(model_, *hardware, envs, options_.inner);
+    if (grid_) {
+        OBS_SPAN("search/inner");
+        design.mapping = grid_->rank(envs);
+    } else {
+        design.mapping = search_mappings(
+            model_, *design.candidate.build_hardware(), envs,
+            options_.inner);
+    }
 
     design.feasible = design.mapping.feasible;
     design.failure = design.mapping.failure;

@@ -15,6 +15,7 @@
 #define CHRYSALIS_SEARCH_BILEVEL_EXPLORER_HPP
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "dnn/model.hpp"
@@ -80,6 +81,13 @@ struct ExplorationResult {
 };
 
 /// Bi-level explorer: owns the workload, design space and objective.
+///
+/// When the space fixes the inference hardware
+/// (DesignSpace::fixes_hardware()) and the inner strategy is exhaustive,
+/// the constructor analyzes that hardware's MappingGrid once and every
+/// candidate ranks it against its own environments, which is exactly
+/// what search_mappings() returns for that candidate. Otherwise each
+/// candidate calls search_mappings().
 class BiLevelExplorer
 {
   public:
@@ -146,6 +154,7 @@ class BiLevelExplorer
     ExplorerOptions options_;
     StableHash context_hash_;  ///< premixed non-candidate inputs
     mutable std::unique_ptr<runtime::EvalCache<EvaluatedDesign>> cache_;
+    std::optional<MappingGrid> grid_;  ///< shared by every candidate
 };
 
 }  // namespace chrysalis::search

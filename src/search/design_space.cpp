@@ -125,6 +125,13 @@ DesignSpace::searchable_knob_count() const
     return count;
 }
 
+bool
+DesignSpace::fixes_hardware() const
+{
+    return family == HardwareFamily::kMsp430 ||
+           (!search_arch && !search_pe && !search_cache);
+}
+
 std::string
 to_string(BaselineKind kind)
 {

@@ -78,6 +78,11 @@ struct DesignSpace {
 
     /// Number of continuous/int/categorical knobs currently searchable.
     int searchable_knob_count() const;
+
+    /// True when every candidate runs on the same inference hardware:
+    /// the MSP430 family, or an accelerator whose architecture, PE count
+    /// and cache size are all frozen (Table VI's wo/IA).
+    bool fixes_hardware() const;
 };
 
 /// Ablation baselines of Table VI: each disables part of the search.

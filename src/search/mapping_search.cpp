@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -17,12 +18,14 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-/// The Eq. 8 budget terms of every environment, built once per call.
+/// The Eq. 8 budget terms of every environment, built once per search.
 ///
 /// They are built when the first feasible layer cost is checked, walking
 /// the environments in order and stopping at the first leakage-dominated
 /// one: exactly as far as a check that rebuilt them per candidate would
 /// walk, so hoisting validates no environment that check would not reach.
+/// A ranking pass owns its budgets; a shared MappingGrid never stores
+/// them.
 class EnvBudgets
 {
   public:
@@ -34,20 +37,19 @@ class EnvBudgets
     /// Worst-case Eq. 8 overshoot of a layer's tiles across all
     /// environments; 0 when the layer is feasible everywhere.
     double
-    violation(const dataflow::LayerCost& cost)
+    violation(const AnalyzedMapping& candidate)
     {
-        if (!cost.feasible)
+        if (!candidate.cost.feasible)
             return kInfinity;
         if (!built_)
             build();
         if (leakage_dominated_)
             return kInfinity;
-        const double tile_energy_j = cost.tile_energy_j();
-        const double tile_time_s = cost.tile_time_s();
         double worst = 0.0;
         for (const auto& budget : budgets_) {
             worst = std::max(worst,
-                             tile_energy_j - budget.for_tile(tile_time_s));
+                             candidate.tile_energy_j -
+                                 budget.for_tile(candidate.tile_time_s));
         }
         return std::max(0.0, worst);
     }
@@ -72,14 +74,35 @@ class EnvBudgets
     bool leakage_dominated_ = false;
 };
 
-/// Scores one (layer, mapping): first by feasibility, then by energy.
-struct ScoredMapping {
-    dataflow::LayerMapping mapping;
-    dataflow::LayerCost cost;
-    double violation = kInfinity;
+AnalyzedMapping
+analyze(const dnn::Layer& layer, const dataflow::LayerMapping& mapping,
+        const dataflow::CostParams& params)
+{
+    AnalyzedMapping analyzed;
+    analyzed.mapping = mapping;
+    analyzed.cost = dataflow::analyze_layer(layer, mapping, params);
+    analyzed.total_energy_j = analyzed.cost.total_energy_j();
+    analyzed.tile_energy_j = analyzed.cost.tile_energy_j();
+    analyzed.tile_time_s = analyzed.cost.tile_time_s();
+    return analyzed;
+}
+
+/// What both strategies rank a candidate by, read from its
+/// AnalyzedMapping under one set of Eq. 8 budgets.
+struct Score {
+    double violation;
+    double total_energy_j;
+    std::int64_t n_tile;
+
+    Score(const AnalyzedMapping& candidate, EnvBudgets& budgets)
+        : violation(budgets.violation(candidate)),
+          total_energy_j(candidate.total_energy_j),
+          n_tile(candidate.cost.n_tile)
+    {
+    }
 
     bool
-    better_than(const ScoredMapping& other) const
+    better_than(const Score& other) const
     {
         // Feasible dominates infeasible; then lower violation; then lower
         // energy; then fewer tiles (less checkpoint pressure headroom).
@@ -87,58 +110,86 @@ struct ScoredMapping {
             return violation == 0.0;
         if (violation != other.violation)
             return violation < other.violation;
-        const double mine = cost.total_energy_j();
-        const double theirs = other.cost.total_energy_j();
-        if (mine != theirs)
-            return mine < theirs;
-        return cost.n_tile < other.cost.n_tile;
+        if (total_energy_j != other.total_energy_j)
+            return total_energy_j < other.total_energy_j;
+        return n_tile < other.n_tile;
     }
 };
 
-ScoredMapping
-score_mapping(const dnn::Layer& layer, const dataflow::LayerMapping& mapping,
-              const dataflow::CostParams& params, EnvBudgets& budgets)
+/// Takes \p chosen as the next layer's mapping: its cost joins the model
+/// cost, and an Eq. 8 violation fails the search.
+void
+take_layer(MappingSearchResult& result, const AnalyzedMapping& chosen,
+           double violation)
 {
-    ScoredMapping scored;
-    scored.mapping = mapping;
-    scored.cost = dataflow::analyze_layer(layer, mapping, params);
-    scored.violation = budgets.violation(scored.cost);
-    return scored;
+    if (violation > 0.0) {
+        result.feasible = false;
+        result.violation_j += std::isfinite(violation) ? violation : 1e6;
+        if (!result.failure) {
+            result.failure = fault::make_failure(
+                fault::FailureCode::kTileExceedsCycle,
+                "layer " + std::to_string(result.mappings.size()) +
+                    ": no mapping satisfies Eq. 8 in every environment");
+        }
+    }
+    result.mappings.push_back(chosen.mapping);
+    result.cost.add_layer(chosen.cost);
 }
 
-/// The exhaustive choice for one layer shape.
-struct RankedShape {
-    const dnn::Layer* layer = nullptr;  ///< first layer of this shape
-    ScoredMapping best;
-    std::int64_t candidates = 0;  ///< size of the shape's mapping grid
+/// NVM capacity: weights, the worst inter-layer activation pair and the
+/// largest checkpoint must all reside in non-volatile storage.
+void
+check_nvm_capacity(MappingSearchResult& result, std::int64_t capacity,
+                   std::int64_t weight_bytes,
+                   std::int64_t peak_activation_bytes)
+{
+    if (capacity <= 0)
+        return;
+    std::int64_t peak_ckpt = 0;
+    for (const auto& layer : result.cost.layers)
+        peak_ckpt = std::max(peak_ckpt, layer.ckpt_bytes);
+    const std::int64_t footprint =
+        weight_bytes + peak_activation_bytes + peak_ckpt;
+    if (footprint > capacity) {
+        result.feasible = false;
+        // NVM capacity is the structural failure: it overrides any Eq. 8
+        // note because no tiling can fix a model that does not fit
+        // non-volatile storage.
+        result.failure = fault::make_failure(
+            fault::FailureCode::kNvmCapacityExceeded,
+            "model footprint " + std::to_string(footprint) +
+                " B exceeds NVM capacity " + std::to_string(capacity) +
+                " B");
+    }
+}
+
+void
+publish_search(std::int64_t evaluations)
+{
+    if (obs::MetricsRegistry* registry = obs::metrics()) {
+        registry->counter("search/inner/searches").add(1);
+        registry->counter("search/inner/evaluations")
+            .add(static_cast<std::uint64_t>(evaluations));
+    }
+}
+
+std::vector<dataflow::Dataflow>
+supported_dataflows(const hw::InferenceHardware& hardware)
+{
+    auto dataflows = hardware.supported_dataflows();
+    if (dataflows.empty())
+        panic("mapping search: ", hardware.name(),
+              " supports no dataflows");
+    return dataflows;
+}
+
+/// One member of the genetic strategy's population.
+struct Individual {
+    AnalyzedMapping analyzed;
+    Score score;
 };
 
-/// Ranks the whole mapping grid of \p layer; among equals the first
-/// candidate in enumerate_mappings() order wins.
-RankedShape
-rank_exhaustive(const dnn::Layer& layer,
-                const std::vector<dataflow::Dataflow>& dataflows,
-                const dataflow::CostParams& params, EnvBudgets& budgets,
-                const MappingSearchOptions& options)
-{
-    const auto candidates = dataflow::enumerate_mappings(
-        layer, dataflows, options.max_candidates_per_dim);
-    if (candidates.empty())
-        panic("rank_exhaustive: no candidates for ", layer.name);
-    RankedShape ranked;
-    ranked.layer = &layer;
-    ranked.candidates = static_cast<std::int64_t>(candidates.size());
-    ranked.best = score_mapping(layer, candidates.front(), params, budgets);
-    for (std::size_t c = 1; c < candidates.size(); ++c) {
-        ScoredMapping scored =
-            score_mapping(layer, candidates[c], params, budgets);
-        if (scored.better_than(ranked.best))
-            ranked.best = std::move(scored);
-    }
-    return ranked;
-}
-
-ScoredMapping
+Individual
 search_layer_genetic(const dnn::Layer& layer,
                      const std::vector<dataflow::Dataflow>& dataflows,
                      const dataflow::CostParams& params, EnvBudgets& budgets,
@@ -187,15 +238,19 @@ search_layer_genetic(const dnn::Layer& layer,
         return mapping;
     };
 
-    std::vector<ScoredMapping> population;
-    population.reserve(static_cast<std::size_t>(options.ga_population));
-    for (int i = 0; i < options.ga_population; ++i) {
-        population.push_back(
-            score_mapping(layer, random_mapping(), params, budgets));
+    const auto evaluate = [&](const dataflow::LayerMapping& mapping) {
+        AnalyzedMapping analyzed = analyze(layer, mapping, params);
+        const Score score(analyzed, budgets);
         ++evaluations;
-    }
-    const auto better = [](const ScoredMapping& a, const ScoredMapping& b) {
-        return a.better_than(b);
+        return Individual{std::move(analyzed), score};
+    };
+
+    std::vector<Individual> population;
+    population.reserve(static_cast<std::size_t>(options.ga_population));
+    for (int i = 0; i < options.ga_population; ++i)
+        population.push_back(evaluate(random_mapping()));
+    const auto better = [](const Individual& a, const Individual& b) {
+        return a.score.better_than(b.score);
     };
     for (int gen = 1; gen < options.ga_generations; ++gen) {
         std::sort(population.begin(), population.end(), better);
@@ -204,15 +259,100 @@ search_layer_genetic(const dnn::Layer& layer,
             const auto& parent =
                 population[static_cast<std::size_t>(rng.uniform_int(
                     0, static_cast<std::int64_t>(keep) - 1))];
-            population[i] =
-                score_mapping(layer, mutate(parent.mapping), params, budgets);
-            ++evaluations;
+            population[i] = evaluate(mutate(parent.analyzed.mapping));
         }
     }
     return *std::min_element(population.begin(), population.end(), better);
 }
 
 }  // namespace
+
+MappingGrid::MappingGrid(const dnn::Model& model,
+                         const hw::InferenceHardware& hardware,
+                         std::size_t max_candidates_per_dim)
+{
+    const dataflow::CostParams params = hardware.cost_params();
+    const auto dataflows = supported_dataflows(hardware);
+
+    // The grid depends on a layer only through its shape, so a layer
+    // repeating an earlier shape shares that shape's grid.
+    std::vector<const dnn::Layer*> firsts;  // first layer of each shape
+    std::int64_t analyses = 0;
+    layer_shape_.reserve(model.layer_count());
+    for (std::size_t i = 0; i < model.layer_count(); ++i) {
+        const dnn::Layer& layer = model.layer(i);
+        auto first = std::find_if(
+            firsts.begin(), firsts.end(), [&](const dnn::Layer* seen) {
+                return dnn::same_shape(*seen, layer);
+            });
+        if (first == firsts.end()) {
+            const auto mappings = dataflow::enumerate_mappings(
+                layer, dataflows, max_candidates_per_dim);
+            if (mappings.empty())
+                panic("MappingGrid: no candidates for ", layer.name);
+            std::vector<AnalyzedMapping> candidates;
+            candidates.reserve(mappings.size());
+            for (const auto& mapping : mappings)
+                candidates.push_back(analyze(layer, mapping, params));
+            analyses += static_cast<std::int64_t>(candidates.size());
+            shapes_.push_back(std::move(candidates));
+            firsts.push_back(&layer);
+            first = std::prev(firsts.end());
+        }
+        layer_shape_.push_back(
+            static_cast<std::size_t>(first - firsts.begin()));
+    }
+
+    nvm_capacity_bytes_ = hardware.nvm_capacity_bytes();
+    weight_bytes_ = model.total_weight_bytes();
+    peak_activation_bytes_ = model.peak_activation_bytes();
+    if (obs::MetricsRegistry* registry = obs::metrics()) {
+        registry->counter("search/inner/analyses")
+            .add(static_cast<std::uint64_t>(analyses));
+    }
+}
+
+MappingSearchResult
+MappingGrid::rank(const std::vector<sim::EnergyEnv>& envs) const
+{
+    if (envs.empty())
+        fatal("MappingGrid::rank: at least one energy environment required");
+
+    // Rank each shape's grid once, in first-occurrence order: the order
+    // in which a per-layer walk meets the candidates, so the budgets are
+    // built at the same candidate. Among equals the first candidate in
+    // enumerate_mappings() order wins.
+    EnvBudgets budgets(envs);
+    std::vector<std::pair<std::size_t, double>> chosen;  // (index, violation)
+    chosen.reserve(shapes_.size());
+    for (const auto& candidates : shapes_) {
+        std::size_t best = 0;
+        Score best_score(candidates.front(), budgets);
+        for (std::size_t c = 1; c < candidates.size(); ++c) {
+            const Score score(candidates[c], budgets);
+            if (score.better_than(best_score)) {
+                best = c;
+                best_score = score;
+            }
+        }
+        chosen.emplace_back(best, best_score.violation);
+    }
+
+    MappingSearchResult result;
+    result.feasible = true;
+    result.mappings.reserve(layer_shape_.size());
+    result.cost.layers.reserve(layer_shape_.size());
+    for (const std::size_t shape : layer_shape_) {
+        const auto& [best, violation] = chosen[shape];
+        take_layer(result, shapes_[shape][best], violation);
+        result.evaluations +=
+            static_cast<std::int64_t>(shapes_[shape].size());
+    }
+    check_nvm_capacity(result, nvm_capacity_bytes_, weight_bytes_,
+                       peak_activation_bytes_);
+    publish_search(result.evaluations);
+    return result;
+}
 
 MappingSearchResult
 search_mappings(const dnn::Model& model,
@@ -223,92 +363,34 @@ search_mappings(const dnn::Model& model,
     if (envs.empty())
         fatal("search_mappings: at least one energy environment required");
     OBS_SPAN("search/inner");
+    if (options.strategy == MappingSearchOptions::Strategy::kExhaustive) {
+        return MappingGrid(model, hardware, options.max_candidates_per_dim)
+            .rank(envs);
+    }
 
+    // The genetic strategy draws one RNG stream layer by layer, so it
+    // searches every layer, repeated shapes included.
     const dataflow::CostParams params = hardware.cost_params();
-    const auto dataflows = hardware.supported_dataflows();
-    if (dataflows.empty())
-        panic("search_mappings: hardware supports no dataflows");
-
+    const auto dataflows = supported_dataflows(hardware);
     EnvBudgets budgets(envs);
     Rng rng(options.seed);
     MappingSearchResult result;
-    result.mappings.reserve(model.layer_count());
     result.feasible = true;
-
-    // The exhaustive choice depends on a layer only through its shape, so
-    // a layer repeating an earlier shape takes that shape's choice. The
-    // genetic strategy draws one RNG stream layer by layer and ranks
-    // every layer.
-    std::vector<RankedShape> shapes;
-    std::int64_t reused = 0;  // evaluations taken over, not analyzed
+    result.mappings.reserve(model.layer_count());
+    result.cost.layers.reserve(model.layer_count());
     for (std::size_t i = 0; i < model.layer_count(); ++i) {
-        const dnn::Layer& layer = model.layer(i);
-        ScoredMapping best;
-        if (options.strategy ==
-            MappingSearchOptions::Strategy::kExhaustive) {
-            auto shape = std::find_if(
-                shapes.begin(), shapes.end(), [&](const RankedShape& seen) {
-                    return dnn::same_shape(*seen.layer, layer);
-                });
-            if (shape == shapes.end()) {
-                shapes.push_back(rank_exhaustive(layer, dataflows, params,
-                                                 budgets, options));
-                shape = std::prev(shapes.end());
-            } else {
-                reused += shape->candidates;
-            }
-            best = shape->best;
-            result.evaluations += shape->candidates;
-        } else {
-            best = search_layer_genetic(layer, dataflows, params, budgets,
-                                        options, result.evaluations, rng);
-        }
-        if (best.violation > 0.0) {
-            result.feasible = false;
-            result.violation_j += std::isfinite(best.violation)
-                ? best.violation
-                : 1e6;
-            if (!result.failure) {
-                result.failure = fault::make_failure(
-                    fault::FailureCode::kTileExceedsCycle,
-                    "layer " + std::to_string(i) +
-                        ": no mapping satisfies Eq. 8 in every "
-                        "environment");
-            }
-        }
-        result.mappings.push_back(best.mapping);
+        const Individual best =
+            search_layer_genetic(model.layer(i), dataflows, params, budgets,
+                                 options, result.evaluations, rng);
+        take_layer(result, best.analyzed, best.score.violation);
     }
-
-    result.cost = dataflow::analyze_model(model, result.mappings, params);
-
-    // NVM capacity: weights, the worst inter-layer activation pair and
-    // the largest checkpoint must all reside in non-volatile storage.
-    const std::int64_t capacity = hardware.nvm_capacity_bytes();
-    if (capacity > 0) {
-        std::int64_t peak_ckpt = 0;
-        for (const auto& layer : result.cost.layers)
-            peak_ckpt = std::max(peak_ckpt, layer.ckpt_bytes);
-        const std::int64_t footprint = model.total_weight_bytes() +
-                                       model.peak_activation_bytes() +
-                                       peak_ckpt;
-        if (footprint > capacity) {
-            result.feasible = false;
-            // NVM capacity is the structural failure: it overrides any
-            // Eq. 8 note because no tiling can fix a model that does not
-            // fit non-volatile storage.
-            result.failure = fault::make_failure(
-                fault::FailureCode::kNvmCapacityExceeded,
-                "model footprint " + std::to_string(footprint) +
-                    " B exceeds NVM capacity " + std::to_string(capacity) +
-                    " B");
-        }
-    }
+    check_nvm_capacity(result, hardware.nvm_capacity_bytes(),
+                       model.total_weight_bytes(),
+                       model.peak_activation_bytes());
+    publish_search(result.evaluations);
     if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/inner/searches").add(1);
-        registry->counter("search/inner/evaluations")
-            .add(static_cast<std::uint64_t>(result.evaluations));
         registry->counter("search/inner/analyses")
-            .add(static_cast<std::uint64_t>(result.evaluations - reused));
+            .add(static_cast<std::uint64_t>(result.evaluations));
     }
     return result;
 }

@@ -11,9 +11,13 @@
 /// in both the brighter and the darker environment).
 ///
 /// Two strategies are provided: bounded exhaustive enumeration per layer
-/// (layers are independent given the hardware and environments, so layers
-/// of equal shape share one ranking) and a GAMMA-style per-layer genetic
-/// search for very large tiling spaces.
+/// and a GAMMA-style per-layer genetic search for very large tiling
+/// spaces. The exhaustive strategy splits in two: a MappingGrid analyzes
+/// each distinct layer shape's tiling grid once for one hardware (Eqs.
+/// 4-6 do not depend on the environments), and a ranking pass applies
+/// Eq. 8 for one set of environments. search_mappings() builds a grid
+/// and ranks it; a caller whose hardware never changes builds one grid
+/// and ranks it per environment set.
 
 #ifndef CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
 #define CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
@@ -48,14 +52,61 @@ struct MappingSearchResult {
     dataflow::ModelCost cost;   ///< cost under the chosen mappings
     double violation_j = 0.0;   ///< total Eq. 8 overshoot when infeasible
     fault::SimFailure failure;  ///< why the search failed, when infeasible
-    /// (layer, candidate) pairs ranked. A layer that takes the choice of
-    /// an earlier layer of the same shape counts its whole grid again, so
-    /// the count does not depend on shape reuse; the metrics counter
-    /// `search/inner/analyses` counts the cost-model calls actually made.
+    /// (layer, candidate) pairs ranked: every layer's whole grid, also
+    /// when a layer repeats an earlier layer's shape or the grid was
+    /// analyzed by an earlier call, so the count does not depend on
+    /// either. The metrics counter `search/inner/analyses` counts the
+    /// cost-model calls actually made.
     std::int64_t evaluations = 0;
 };
 
-/// Runs the SW-level mapping search.
+/// One (layer, mapping) pair analyzed by the cost model, with the Eq. 4/5
+/// values the ranking compares, each computed once from that cost.
+struct AnalyzedMapping {
+    dataflow::LayerMapping mapping;
+    dataflow::LayerCost cost;
+    double total_energy_j = 0.0;  ///< cost.total_energy_j(), E_all
+    double tile_energy_j = 0.0;   ///< cost.tile_energy_j(), E_tile
+    double tile_time_s = 0.0;     ///< cost.tile_time_s()
+};
+
+/// The exhaustive strategy's cost table for one (model, hardware, grid
+/// width): every candidate of every distinct layer shape, in
+/// dataflow::enumerate_mappings() order, analyzed once.
+///
+/// Ranking is const and keeps its Eq. 8 budgets on its own stack, so
+/// several threads may rank one grid at once. The grid holds no pointer
+/// into the model or the hardware; it copies the NVM-footprint terms the
+/// capacity check needs.
+class MappingGrid
+{
+  public:
+    /// Analyzes the grid of every distinct layer shape (dnn::same_shape)
+    /// at \p max_candidates_per_dim, counting the cost-model calls in
+    /// `search/inner/analyses`.
+    MappingGrid(const dnn::Model& model,
+                const hw::InferenceHardware& hardware,
+                std::size_t max_candidates_per_dim);
+
+    /// The exhaustive search's result against \p envs: per layer, the
+    /// candidate of its shape's grid that ranks first (feasible in every
+    /// environment, then lowest Eq. 8 violation, lowest E_all, fewest
+    /// tiles; among equals the first in enumeration order). Counts one
+    /// `search/inner/searches` and the grid's size per layer in
+    /// `search/inner/evaluations`. \p envs must not be empty.
+    MappingSearchResult rank(const std::vector<sim::EnergyEnv>& envs) const;
+
+  private:
+    /// Candidates of each distinct shape, in first-occurrence order.
+    std::vector<std::vector<AnalyzedMapping>> shapes_;
+    std::vector<std::size_t> layer_shape_;  ///< per layer, into shapes_
+    std::int64_t nvm_capacity_bytes_ = 0;  ///< 0 = unlimited
+    std::int64_t weight_bytes_ = 0;
+    std::int64_t peak_activation_bytes_ = 0;
+};
+
+/// Runs the SW-level mapping search. The exhaustive strategy builds a
+/// MappingGrid and ranks it.
 /// \param envs environments the design must run in (feasibility must hold
 ///        in each; typically the brighter and darker presets).
 MappingSearchResult search_mappings(const dnn::Model& model,

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "dnn/model_zoo.hpp"
+#include "mapping_result_matchers.hpp"
+#include "obs/metrics.hpp"
 
 namespace chrysalis::search {
 namespace {
@@ -216,6 +218,106 @@ TEST(BiLevelExploreTest, WarmStartMakesSupersetNeverLose)
     const EvaluatedDesign defaults =
         explorer.evaluate(explorer.space().defaults);
     EXPECT_LE(result.best.score, defaults.score * (1.0 + 1e-9));
+}
+
+/// Candidates across the panel and capacitor ranges; the last cannot
+/// charge its 10 mF capacitor in the darker environment.
+std::vector<HwCandidate>
+sweep_candidates()
+{
+    std::vector<HwCandidate> candidates;
+    for (const auto& [cm2, cap_f] : {std::pair{1.0, 1e-6},
+                                     {3.0, 100e-6},
+                                     {8.0, 1e-3},
+                                     {30.0, 10e-3},
+                                     {12.5, 330e-6},
+                                     {1.0, 10e-3}}) {
+        HwCandidate candidate;
+        candidate.solar_cm2 = cm2;
+        candidate.capacitance_f = cap_f;
+        candidates.push_back(candidate);
+    }
+    return candidates;
+}
+
+/// evaluate() on a shared grid must return what a per-candidate
+/// search_mappings() call returns, bit for bit.
+void
+expect_evaluate_matches_search(const BiLevelExplorer& explorer)
+{
+    ASSERT_TRUE(explorer.space().fixes_hardware());
+    bool saw_infeasible = false;
+    for (const auto& raw : sweep_candidates()) {
+        const HwCandidate candidate = explorer.space().clamp(raw);
+        SCOPED_TRACE(candidate.describe());
+        const EvaluatedDesign design = explorer.evaluate(candidate);
+        matchers::expect_same_result(
+            design.mapping,
+            search_mappings(explorer.model(), *candidate.build_hardware(),
+                            explorer.environments(candidate),
+                            explorer.options().inner));
+        saw_infeasible = saw_infeasible || !design.feasible;
+    }
+    EXPECT_TRUE(saw_infeasible);
+}
+
+TEST(BiLevelGridTest, ExistingAutEvaluateMatchesPerCandidateSearch)
+{
+    expect_evaluate_matches_search(make_explorer());
+    ExplorerOptions options = small_options();
+    options.inner.max_candidates_per_dim = 6;
+    expect_evaluate_matches_search(
+        BiLevelExplorer(dnn::make_cifar10_cnn(), DesignSpace::existing_aut(),
+                        {ObjectiveKind::kLatSp, 0.0, 0.0}, options));
+}
+
+TEST(BiLevelGridTest, FrozenAcceleratorEvaluateMatchesPerCandidateSearch)
+{
+    expect_evaluate_matches_search(BiLevelExplorer(
+        dnn::make_har_cnn(),
+        apply_baseline(DesignSpace::future_aut(), BaselineKind::kWoIa),
+        {ObjectiveKind::kLatSp, 0.0, 0.0}, small_options()));
+}
+
+TEST(BiLevelGridTest, ExploreAnalyzesTheGridOnce)
+{
+    // CIFAR-10 repeats no layer shape; its MSP430 grid at 6 candidates
+    // per dim holds 334 mappings, analyzed once for the whole search.
+    ExplorerOptions options = small_options(5);
+    options.inner.max_candidates_per_dim = 6;
+    obs::MetricsRegistry registry;
+    {
+        obs::ScopedMetrics scope(registry);
+        const BiLevelExplorer explorer(
+            dnn::make_cifar10_cnn(), DesignSpace::existing_aut(),
+            {ObjectiveKind::kLatSp, 0.0, 0.0}, options);
+        explorer.explore();
+    }
+    const std::uint64_t searches =
+        registry.counter("search/inner/searches").value();
+    EXPECT_GT(searches, 1u);
+    EXPECT_EQ(registry.counter("search/inner/analyses").value(), 334u);
+    EXPECT_EQ(registry.counter("search/inner/evaluations").value(),
+              334u * searches);
+}
+
+TEST(BiLevelGridTest, GeneticInnerStrategyBuildsNoGrid)
+{
+    ExplorerOptions options = small_options(5);
+    options.inner.strategy = MappingSearchOptions::Strategy::kGenetic;
+    obs::MetricsRegistry registry;
+    {
+        obs::ScopedMetrics scope(registry);
+        const BiLevelExplorer explorer(
+            dnn::make_simple_conv(), DesignSpace::existing_aut(),
+            {ObjectiveKind::kLatSp, 0.0, 0.0}, options);
+        explorer.explore();
+    }
+    const std::uint64_t evaluations =
+        registry.counter("search/inner/evaluations").value();
+    EXPECT_GT(evaluations, 0u);
+    EXPECT_EQ(registry.counter("search/inner/analyses").value(),
+              evaluations);
 }
 
 TEST(BiLevelDeathTest, EmptyEnvironmentsAreFatal)

@@ -70,6 +70,21 @@ TEST(DesignSpaceTest, Msp430CandidateIsSinglePe)
     EXPECT_EQ(clamped.family, HardwareFamily::kMsp430);
 }
 
+TEST(DesignSpaceTest, FixesHardwareOnlyWhenEveryIaKnobIsFrozen)
+{
+    EXPECT_TRUE(DesignSpace::existing_aut().fixes_hardware());
+    EXPECT_FALSE(DesignSpace::future_aut().fixes_hardware());
+    for (const BaselineKind kind : all_baselines()) {
+        SCOPED_TRACE(to_string(kind));
+        EXPECT_EQ(apply_baseline(DesignSpace::future_aut(), kind)
+                      .fixes_hardware(),
+                  kind == BaselineKind::kWoIa);
+        // Freezing energy knobs never unfixes the MSP430.
+        EXPECT_TRUE(apply_baseline(DesignSpace::existing_aut(), kind)
+                        .fixes_hardware());
+    }
+}
+
 TEST(HwCandidateTest, BuildsMspHardware)
 {
     HwCandidate candidate;

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -17,10 +16,13 @@
 #include "dnn/model_zoo.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/msp430_lea.hpp"
+#include "mapping_result_matchers.hpp"
 #include "obs/metrics.hpp"
 
 namespace chrysalis::search {
 namespace {
+
+using matchers::expect_same_result;
 
 sim::EnergyEnv
 make_env(double p_eh_w, double cap_f = 470e-6)
@@ -371,61 +373,6 @@ oracle_hardware()
     return hardware;
 }
 
-bool
-same_bits(double a, double b)
-{
-    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
-void
-expect_same_layer_cost(const dataflow::LayerCost& got,
-                       const dataflow::LayerCost& want)
-{
-    EXPECT_EQ(got.feasible, want.feasible);
-    EXPECT_EQ(got.macs, want.macs);
-    EXPECT_EQ(got.n_tile, want.n_tile);
-    EXPECT_EQ(got.ckpt_bytes, want.ckpt_bytes);
-    EXPECT_EQ(got.nvm_read_bytes, want.nvm_read_bytes);
-    EXPECT_EQ(got.nvm_write_bytes, want.nvm_write_bytes);
-    EXPECT_EQ(got.vm_required_bytes, want.vm_required_bytes);
-    for (const auto& [a, b] : {std::pair{got.ckpt_pair_energy_j,
-                                         want.ckpt_pair_energy_j},
-                               {got.utilization, want.utilization},
-                               {got.compute_time_s, want.compute_time_s},
-                               {got.nvm_time_s, want.nvm_time_s},
-                               {got.ckpt_time_s, want.ckpt_time_s},
-                               {got.time_s, want.time_s},
-                               {got.e_compute_j, want.e_compute_j},
-                               {got.e_vm_j, want.e_vm_j},
-                               {got.e_nvm_j, want.e_nvm_j},
-                               {got.e_static_j, want.e_static_j},
-                               {got.e_ckpt_j, want.e_ckpt_j}}) {
-        EXPECT_TRUE(same_bits(a, b)) << a << " vs " << b;
-    }
-}
-
-void
-expect_same_result(const MappingSearchResult& got,
-                   const MappingSearchResult& want)
-{
-    EXPECT_EQ(got.feasible, want.feasible);
-    EXPECT_TRUE(same_bits(got.violation_j, want.violation_j))
-        << got.violation_j << " vs " << want.violation_j;
-    EXPECT_EQ(got.failure.code, want.failure.code);
-    EXPECT_EQ(got.failure.message(), want.failure.message());
-    EXPECT_EQ(got.evaluations, want.evaluations);
-    ASSERT_EQ(got.mappings.size(), want.mappings.size());
-    ASSERT_EQ(got.cost.layers.size(), want.cost.layers.size());
-    for (std::size_t i = 0; i < got.mappings.size(); ++i) {
-        SCOPED_TRACE("layer " + std::to_string(i));
-        EXPECT_EQ(got.mappings[i].dataflow, want.mappings[i].dataflow);
-        EXPECT_EQ(got.mappings[i].tiles_k, want.mappings[i].tiles_k);
-        EXPECT_EQ(got.mappings[i].tiles_y, want.mappings[i].tiles_y);
-        EXPECT_EQ(got.mappings[i].tiles_n, want.mappings[i].tiles_n);
-        expect_same_layer_cost(got.cost.layers[i], want.cost.layers[i]);
-    }
-}
-
 /// Runs every oracle model on every oracle hardware against \p envs at
 /// two grid widths; \returns how many searches hit an Eq. 8 failure.
 int
@@ -484,6 +431,54 @@ TEST(MappingSearchOracleTest, MatchesPerLayerLoopWhenATileCannotFit)
     const int failures = check_against_oracle(
         {make_env(2e-3, 1e-6), make_env(0.5e-3, 1e-6)});
     EXPECT_GT(failures, 0);
+}
+
+TEST(MappingGridOracleTest, OneGridRanksEveryEnvironmentSetExactly)
+{
+    // The env sets of the three oracle tests above, in one sequence, with
+    // the leakage-dominated and 1 uF sets between ordinary ones: a grid
+    // that kept anything from an earlier ranking (the Eq. 8 budgets, a
+    // leakage verdict) would carry it into the next set.
+    const sim::EnergyEnv leaky = make_env(0.05e-3, 10e-3);
+    ASSERT_LE(sim::effective_power(leaky), 0.0);
+    const std::vector<std::vector<sim::EnergyEnv>> env_sets = {
+        {make_env(3.0 * 2.0e-3, 100e-6), make_env(3.0 * 0.5e-3, 100e-6)},
+        {leaky},
+        {make_env(8.0 * 2.0e-3, 1e-3), make_env(8.0 * 0.5e-3, 1e-3)},
+        {make_env(16e-3, 10e-3), leaky},
+        {make_env(2e-3, 1e-6), make_env(0.5e-3, 1e-6)},
+        {leaky, make_env(16e-3, 10e-3)},
+        {make_env(30.0 * 2.0e-3, 10e-3), make_env(30.0 * 0.5e-3, 10e-3)},
+    };
+    int eq8_failures = 0;
+    const auto hardware = oracle_hardware();
+    for (const auto& model : oracle_models()) {
+        for (const auto& target : hardware) {
+            for (const std::size_t width : {5, 6}) {
+                SCOPED_TRACE(model.name() + " on " + target->name() +
+                             " at " + std::to_string(width) + " per dim");
+                const MappingGrid grid(model, *target, width);
+                for (std::size_t e = 0; e < env_sets.size(); ++e) {
+                    SCOPED_TRACE("env set " + std::to_string(e));
+                    const auto got = grid.rank(env_sets[e]);
+                    expect_same_result(
+                        got, oracle::search_mappings(model, *target,
+                                                     env_sets[e], width));
+                    if (got.failure.code ==
+                        fault::FailureCode::kTileExceedsCycle) {
+                        ++eq8_failures;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(eq8_failures, 0);
+}
+
+TEST(MappingGridDeathTest, RankingWithoutEnvironmentsIsFatal)
+{
+    const MappingGrid grid(dnn::make_kws_mlp(), hw::Msp430Lea(), 6);
+    EXPECT_EXIT(grid.rank({}), ::testing::ExitedWithCode(1), "environment");
 }
 
 TEST(MappingSearchTest, RepeatedShapesAreAnalyzedOnce)
