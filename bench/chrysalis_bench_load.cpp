@@ -12,23 +12,12 @@
 /// Usage:
 ///   chrysalis_bench_load [--host addr] [--port n] [--requests n]
 ///                        [--clients n] [--threads n] [--seed n]
-///                        [--no-verify] [--chaos] [--chaos-seed n]
+///                        [--no-verify]
 ///
 /// Without --port the bench starts its own in-process server
 /// (`--threads` workers, default 4) on an ephemeral loopback port.
 /// With --port it targets an externally started chrysalis_served (CI's
 /// smoke job does this). The run report is BENCH_serve_load.json.
-///
-/// --chaos turns the run into a network chaos gate: the in-process
-/// server gets a seed-deterministic `fault::NetFaultInjector` (torn
-/// writes, delayed reads, mid-frame resets, accept stalls), a
-/// `serve::ChaosProxy` with a second injector (plus connection
-/// refusals) sits between the clients and the daemon, and the clients
-/// switch to the resilient `Client::request()` path. The gates become:
-/// 100% of requests must *eventually* succeed through retries, and
-/// every reply must still be byte-identical to the chaos-free
-/// single-threaded reference replay. The retry/timeout/chaos counters
-/// land in the report.
 
 #include <algorithm>
 #include <atomic>
@@ -41,13 +30,10 @@
 
 #include "common/bench_util.hpp"
 #include "common/logging.hpp"
-#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "common/string_utils.hpp"
-#include "fault/net_fault_injector.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
-#include "serve/chaos_proxy.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -63,8 +49,6 @@ struct LoadOptions {
     int threads = 4;     ///< in-process server eval workers
     std::uint64_t seed = 1;
     bool verify = true;  ///< replay against a 1-thread reference
-    bool chaos = false;  ///< deterministic network-fault gate
-    std::uint64_t chaos_seed = 0;  ///< 0 = derive from --seed
 };
 
 void
@@ -72,7 +56,7 @@ usage(const char* argv0)
 {
     std::printf("usage: %s [--host addr] [--port n] [--requests n]\n"
                 "          [--clients n] [--threads n] [--seed n]\n"
-                "          [--no-verify] [--chaos] [--chaos-seed n]\n",
+                "          [--no-verify]\n",
                 argv0);
 }
 
@@ -112,10 +96,6 @@ parse_args(int argc, char** argv, LoadOptions& options)
             options.seed = std::stoull(next());
         } else if (arg == "--no-verify") {
             options.verify = false;
-        } else if (arg == "--chaos") {
-            options.chaos = true;
-        } else if (arg == "--chaos-seed") {
-            options.chaos_seed = std::stoull(next());
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return false;
@@ -131,21 +111,16 @@ parse_args(int argc, char** argv, LoadOptions& options)
     return true;
 }
 
-/// One deterministic request: the parsed form (the resilient client
-/// rebuilds its payload from these) plus the exact wire payload request
-/// i would carry — id i+1, so both paths emit identical bytes.
+/// One deterministic request: its type and the exact wire payload
+/// request i carries (id i+1).
 struct WorkItem {
     std::string type;
-    FlatJsonFields params;
     std::string payload;
 };
 
 /// Builds the deterministic workload. Request i carries id i+1, and
 /// parameters come from small pools so many requests repeat — the
-/// repeat fraction is what exercises the shared response cache. Under
-/// --chaos the stats probes are replaced by design points: only
-/// memoized (retry-safe) types may ride a lossy network, and the 100%
-/// completion gate needs every request to be retryable.
+/// repeat fraction is what exercises the shared response cache.
 std::vector<WorkItem>
 build_workload(const LoadOptions& options)
 {
@@ -163,71 +138,31 @@ build_workload(const LoadOptions& options)
         // stats probes.
         const std::int64_t dice = rng.uniform_int(0, 19);
         WorkItem item;
+        FlatJsonFields params;
         if (dice < 12) {
             item.type = "eval_design_point";
         } else if (dice < 17) {
             item.type = "eval_mapping";
         } else if (dice < 19) {
             item.type = "sim_step";
-            item.params["runs"] = "1";
-            item.params["step_s"] = "0.05";
+            params["runs"] = "1";
+            params["step_s"] = "0.05";
         } else {
-            item.type = options.chaos ? "eval_design_point"
-                                      : "server_stats";
+            item.type = "server_stats";
         }
         if (item.type != "server_stats") {
-            item.params["model"] =
-                kModels[rng.uniform_int(0, 2)];
-            item.params["objective"] =
-                kObjectives[rng.uniform_int(0, 2)];
-            item.params["solar_cm2"] =
+            params["model"] = kModels[rng.uniform_int(0, 2)];
+            params["objective"] = kObjectives[rng.uniform_int(0, 2)];
+            params["solar_cm2"] =
                 format_double_17g(kSolar[rng.uniform_int(0, 4)]);
-            item.params["capacitance_f"] =
+            params["capacitance_f"] =
                 format_double_17g(kCap[rng.uniform_int(0, 2)]);
         }
         builder.set_next_id(static_cast<std::uint64_t>(i) + 1);
-        item.payload = builder.build_request(item.type, item.params);
+        item.payload = builder.build_request(item.type, params);
         items.push_back(std::move(item));
     }
     return items;
-}
-
-/// Server-side chaos: torn/stalled reply writes, deferred reads,
-/// occasional mid-frame resets and accept stalls.
-fault::NetFaultSpec
-server_chaos_spec(std::uint64_t seed)
-{
-    fault::NetFaultSpec spec;
-    spec.seed = seed;
-    spec.torn_write_probability = 0.15;
-    spec.torn_write_chunk_bytes = 9;
-    spec.torn_write_stall_s = 0.0005;
-    spec.read_delay_probability = 0.10;
-    spec.read_delay_s = 0.002;
-    spec.reset_probability = 0.01;
-    spec.accept_stall_probability = 0.05;
-    spec.accept_stall_s = 0.005;
-    return spec;
-}
-
-/// Client-facing chaos at the proxy: everything above plus refused
-/// connections, at higher rates — this is the side the resilient
-/// client must out-stubborn.
-fault::NetFaultSpec
-proxy_chaos_spec(std::uint64_t seed)
-{
-    fault::NetFaultSpec spec;
-    spec.seed = seed;
-    spec.connect_refusal_probability = 0.10;
-    spec.torn_write_probability = 0.20;
-    spec.torn_write_chunk_bytes = 7;
-    spec.torn_write_stall_s = 0.0005;
-    spec.read_delay_probability = 0.10;
-    spec.read_delay_s = 0.002;
-    spec.reset_probability = 0.02;
-    spec.accept_stall_probability = 0.05;
-    spec.accept_stall_s = 0.005;
-    return spec;
 }
 
 double
@@ -257,27 +192,6 @@ main(int argc, char** argv)
         "serve_load",
         "closed-loop load test of the chrysalis-serve-v1 daemon");
 
-    if (options.chaos && options.port != 0)
-        fatal("--chaos requires the in-process server (omit --port): "
-              "the injectors hook the server and a local proxy");
-    const std::uint64_t chaos_seed =
-        options.chaos_seed != 0 ? options.chaos_seed
-                                : options.seed + 7791;
-
-    // Chaos injectors outlive the server and proxy that borrow them.
-    std::unique_ptr<fault::NetFaultInjector> server_chaos;
-    std::unique_ptr<fault::NetFaultInjector> proxy_chaos;
-    if (options.chaos) {
-        server_chaos = std::make_unique<fault::NetFaultInjector>(
-            server_chaos_spec(chaos_seed));
-        proxy_chaos = std::make_unique<fault::NetFaultInjector>(
-            proxy_chaos_spec(chaos_seed + 1));
-        std::printf("chaos (server): %s\n",
-                    server_chaos->describe().c_str());
-        std::printf("chaos (proxy):  %s\n",
-                    proxy_chaos->describe().c_str());
-    }
-
     // Target server: external (--port) or in-process.
     std::unique_ptr<serve::Server> own_server;
     int port = options.port;
@@ -285,7 +199,6 @@ main(int argc, char** argv)
         serve::ServerOptions server_options;
         server_options.host = options.host;
         server_options.threads = options.threads;
-        server_options.chaos = server_chaos.get();
         own_server = std::make_unique<serve::Server>(server_options);
         own_server->start();
         port = own_server->port();
@@ -296,55 +209,21 @@ main(int argc, char** argv)
                     options.host.c_str(), port);
     }
 
-    // Under chaos the clients dial the proxy, not the daemon.
-    std::unique_ptr<serve::ChaosProxy> proxy;
-    int target_port = port;
-    if (options.chaos) {
-        serve::ChaosProxyOptions proxy_options;
-        proxy_options.host = options.host;
-        proxy_options.upstream_host = options.host;
-        proxy_options.upstream_port = port;
-        proxy_options.chaos = proxy_chaos.get();
-        proxy = std::make_unique<serve::ChaosProxy>(proxy_options);
-        proxy->start();
-        target_port = proxy->port();
-        std::printf("chaos proxy on %s:%d -> %d\n", options.host.c_str(),
-                    target_port, port);
-    }
-
     const std::vector<WorkItem> workload = build_workload(options);
     const std::size_t total = workload.size();
     std::vector<std::string> replies(total);
     std::vector<double> latencies(total, 0.0);
     std::atomic<std::size_t> cursor{0};
     std::atomic<int> transport_failures{0};
-    serve::RetryStats retry_totals;
-    Mutex retry_totals_mutex;
 
     // Closed loop: each client thread owns one connection and pulls the
-    // next unsent request until the shared cursor runs out. Under chaos
-    // the resilient request() path does the surviving: reconnects,
-    // retries (all chaos-mode types are memoized, hence retry-safe),
-    // deterministic backoff.
+    // next unsent request until the shared cursor runs out.
     runtime::ThreadPool clients(options.clients);
     obs::SpanTimer wall("bench/serve_load");
     clients.parallel_for(
-        static_cast<std::size_t>(options.clients),
-        [&](std::size_t client_index) {
-            serve::ClientOptions client_options;
-            client_options.connect_timeout_s = 5.0;
-            client_options.request_timeout_s = 20.0;
-            client_options.max_attempts = options.chaos ? 16 : 1;
-            client_options.backoff_base_s = 0.002;
-            client_options.backoff_max_s = 0.1;
-            // The breaker stays out of the gate run: under a lossy
-            // schedule it would fast-fail requests the gate requires
-            // to eventually succeed. Its behavior is unit-tested.
-            client_options.circuit_breaker_threshold = 0;
-            client_options.retry_seed = chaos_seed + 100 + client_index;
-            serve::Client client(client_options);
-            if (!client.connect(options.host, target_port) &&
-                !options.chaos) {
+        static_cast<std::size_t>(options.clients), [&](std::size_t) {
+            serve::Client client;
+            if (!client.connect(options.host, port, 20.0)) {
                 transport_failures.fetch_add(1);
                 return;
             }
@@ -353,22 +232,6 @@ main(int argc, char** argv)
                 if (i >= total)
                     break;
                 obs::SpanTimer timer("bench/request");
-                if (options.chaos) {
-                    client.set_next_id(static_cast<std::uint64_t>(i) + 1);
-                    serve::Response response;
-                    const serve::CallStatus status = client.request(
-                        workload[i].type, workload[i].params, response);
-                    if (status != serve::CallStatus::kOk) {
-                        std::fprintf(stderr,
-                                     "request id %zu lost: %s\n", i + 1,
-                                     serve::to_string(status));
-                        transport_failures.fetch_add(1);
-                        continue;
-                    }
-                    latencies[i] = timer.elapsed_s();
-                    replies[i] = response.raw;
-                    continue;
-                }
                 std::string reply;
                 if (!client.send_frame(workload[i].payload) ||
                     !client.recv_frame(reply)) {
@@ -378,14 +241,6 @@ main(int argc, char** argv)
                 latencies[i] = timer.elapsed_s();
                 replies[i] = std::move(reply);
             }
-            MutexLock lock(retry_totals_mutex);
-            const serve::RetryStats& stats = client.retry_stats();
-            retry_totals.attempts += stats.attempts;
-            retry_totals.retries += stats.retries;
-            retry_totals.reconnects += stats.reconnects;
-            retry_totals.timeouts += stats.timeouts;
-            retry_totals.transport_errors += stats.transport_errors;
-            retry_totals.protocol_errors += stats.protocol_errors;
         });
     const double wall_s = wall.elapsed_s();
 
@@ -469,8 +324,6 @@ main(int argc, char** argv)
         std::printf("determinism check: %zu mismatches\n", mismatches);
     }
 
-    if (proxy != nullptr)
-        proxy->stop();
     if (own_server != nullptr)
         own_server->stop();
 
@@ -485,58 +338,8 @@ main(int argc, char** argv)
                     static_cast<double>(transport_failures.load()));
     bench::headline("determinism_mismatches",
                     static_cast<double>(mismatches));
-    bench::headline("chaos_enabled", options.chaos ? 1.0 : 0.0);
-    if (options.chaos) {
-        bench::headline("client_attempts",
-                        static_cast<double>(retry_totals.attempts));
-        bench::headline("client_retries",
-                        static_cast<double>(retry_totals.retries));
-        bench::headline("client_reconnects",
-                        static_cast<double>(retry_totals.reconnects));
-        bench::headline("client_timeouts",
-                        static_cast<double>(retry_totals.timeouts));
-        bench::headline(
-            "client_transport_errors",
-            static_cast<double>(retry_totals.transport_errors));
-        const fault::NetFaultInjector::ActivationCounts server_hits =
-            server_chaos->activation_counts();
-        const fault::NetFaultInjector::ActivationCounts proxy_hits =
-            proxy_chaos->activation_counts();
-        bench::headline("chaos_torn_writes",
-                        static_cast<double>(server_hits.torn_writes +
-                                            proxy_hits.torn_writes));
-        bench::headline("chaos_resets",
-                        static_cast<double>(server_hits.resets +
-                                            proxy_hits.resets));
-        bench::headline("chaos_read_delays",
-                        static_cast<double>(server_hits.read_delays +
-                                            proxy_hits.read_delays));
-        bench::headline(
-            "chaos_connect_refusals",
-            static_cast<double>(server_hits.connect_refusals +
-                                proxy_hits.connect_refusals));
-        bench::headline("chaos_accept_stalls",
-                        static_cast<double>(server_hits.accept_stalls +
-                                            proxy_hits.accept_stalls));
-        bench::headline("chaos_activations_total",
-                        static_cast<double>(server_hits.total() +
-                                            proxy_hits.total()));
-        std::printf("chaos: %llu retries, %llu reconnects, %llu "
-                    "timeouts over %llu activations\n",
-                    static_cast<unsigned long long>(
-                        retry_totals.retries),
-                    static_cast<unsigned long long>(
-                        retry_totals.reconnects),
-                    static_cast<unsigned long long>(
-                        retry_totals.timeouts),
-                    static_cast<unsigned long long>(
-                        server_hits.total() + proxy_hits.total()));
-    }
-
-    // The gates are identical with and without chaos: every request
-    // completed (under chaos: *eventually*, through retries), no
-    // request-level failures, and byte-identical replies versus the
-    // chaos-free single-threaded reference.
+    // The gates: every request completed, no transport failures, and
+    // byte-identical replies versus the single-threaded reference.
     const bool pass = completed == total &&
                       transport_failures.load() == 0 && mismatches == 0;
     std::printf("%s\n", pass ? "PASS" : "FAIL");

@@ -33,15 +33,27 @@ json_append_escaped(std::string& out, const std::string& text)
     out += '"';
 }
 
+namespace {
+
+/// Appends `"name":`, preceded by a separating comma unless \p out is
+/// empty or ends in '{'.
 void
-json_append_field(std::string& out, const char* name,
-                  const std::string& value)
+append_key(std::string& out, const char* name)
 {
-    if (out.back() != '{')
+    if (!out.empty() && out.back() != '{')
         out += ',';
     out += '"';
     out += name;
     out += "\":";
+}
+
+}  // namespace
+
+void
+json_append_field(std::string& out, const char* name,
+                  const std::string& value)
+{
+    append_key(out, name);
     json_append_escaped(out, value);
 }
 
@@ -49,11 +61,7 @@ void
 json_append_raw_field(std::string& out, const char* name,
                       const std::string& value)
 {
-    if (out.back() != '{')
-        out += ',';
-    out += '"';
-    out += name;
-    out += "\":";
+    append_key(out, name);
     out += value;
 }
 

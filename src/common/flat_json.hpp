@@ -31,13 +31,15 @@ using FlatJsonFields = std::map<std::string, std::string>;
 /// backslashes and control characters) to \p out.
 void json_append_escaped(std::string& out, const std::string& text);
 
-/// Appends `"name":"value"` (string value, escaped) to an object under
-/// construction; inserts the separating comma unless \p out ends in '{'.
+/// Appends `"name":"value"` (string value, escaped) to an object or a
+/// bare field list under construction; inserts the separating comma
+/// unless \p out is empty or ends in '{'.
 void json_append_field(std::string& out, const char* name,
                        const std::string& value);
 
 /// Appends `"name":value` with \p value emitted verbatim (numbers,
-/// booleans-as-0/1 — anything already JSON-formatted).
+/// booleans-as-0/1 — anything already JSON-formatted); same comma rule
+/// as json_append_field().
 void json_append_raw_field(std::string& out, const char* name,
                            const std::string& value);
 

@@ -135,15 +135,14 @@ run_case(const CampaignCase& campaign_case,
 /// run_case with retry + crash isolation: a fatal() inside the case is
 /// caught (via FatalThrowGuard), retried with capped exponential backoff
 /// and — when attempts are exhausted — turned into an infeasible
-/// kCrashed entry so one bad case cannot kill a long campaign.
-/// \p progress is optional: campaign workers report retries and crashes
-/// to the heartbeat, standalone (run_campaign_case) callers pass null.
+/// kCrashed entry so one bad case cannot kill a long campaign. Retries
+/// and crashes are reported to the campaign heartbeat \p progress.
 CampaignEntry
 run_case_with_retries(const CampaignCase& campaign_case,
                       const search::ExplorerOptions& base_options,
                       std::size_t index, int max_attempts,
                       double retry_backoff_s, double retry_backoff_cap_s,
-                      obs::ProgressReporter* progress)
+                      obs::ProgressReporter& progress)
 {
     std::string last_error;
     for (int attempt = 1; attempt <= max_attempts; ++attempt) {
@@ -159,8 +158,7 @@ run_case_with_retries(const CampaignCase& campaign_case,
                  attempt, "/", max_attempts, " failed: ", last_error);
         }
         if (attempt < max_attempts) {
-            if (progress != nullptr)
-                progress->note_retry();
+            progress.note_retry();
             if (obs::MetricsRegistry* registry = obs::metrics())
                 registry->counter("campaign/case_retries").add(1);
         }
@@ -172,8 +170,7 @@ run_case_with_retries(const CampaignCase& campaign_case,
                 std::chrono::duration<double>(backoff));
         }
     }
-    if (progress != nullptr)
-        progress->note_crash();
+    progress.note_crash();
     if (obs::MetricsRegistry* registry = obs::metrics())
         registry->counter("campaign/cases_crashed").add(1);
     CampaignEntry entry;
@@ -189,18 +186,6 @@ run_case_with_retries(const CampaignCase& campaign_case,
 }
 
 }  // namespace
-
-CampaignEntry
-run_campaign_case(const CampaignCase& campaign_case,
-                  const search::ExplorerOptions& base_options,
-                  std::size_t index, int max_attempts)
-{
-    if (max_attempts < 1)
-        fatal("run_campaign_case: max_attempts must be >= 1, got ",
-              max_attempts);
-    return run_case_with_retries(campaign_case, base_options, index,
-                                 max_attempts, 0.0, 0.0, nullptr);
-}
 
 CampaignResult
 run_campaign(const std::vector<CampaignCase>& cases,
@@ -256,7 +241,7 @@ run_campaign(const std::vector<CampaignCase>& cases,
                                     campaign_options.max_attempts,
                                     campaign_options.retry_backoff_s,
                                     campaign_options.retry_backoff_cap_s,
-                                    &progress)
+                                    progress)
             : run_case(cases[index], base_options, index);
         if (journaled) {
             JournalRecord record = to_journal_record(entry, keys[index]);

@@ -67,7 +67,7 @@ struct CampaignOptions {
     /// value produces identical entries in identical order — memo
     /// counters included. This is the campaign's only parallelism:
     /// every case runs its GA serially whatever the base options'
-    /// `outer.threads` says (see run_campaign_case).
+    /// `outer.threads` says, so memo hit/miss counts are reproducible.
     int threads = 1;
 
     /// When true, a case whose evaluation fatals (bad derived
@@ -116,19 +116,6 @@ CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
 /// Sequential convenience overload (CampaignOptions defaults).
 CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
                             const search::ExplorerOptions& base_options);
-
-/// Runs a single campaign case exactly as run_campaign would — same
-/// per-index seed offset, same serial GA (`outer.threads` is forced to
-/// 1, so memo hit/miss counts are reproducible), same FatalThrowGuard
-/// crash isolation with up to \p max_attempts attempts, same kCrashed
-/// fallback entry — without the campaign scaffolding (thread pool,
-/// journal, progress). This is the unit of work a `run_case` serve
-/// request executes: because it is the same code path, a case
-/// evaluated by a daemon is bit-identical to the same case in a local
-/// campaign.
-CampaignEntry run_campaign_case(const CampaignCase& campaign_case,
-                                const search::ExplorerOptions& base_options,
-                                std::size_t index, int max_attempts = 2);
 
 }  // namespace chrysalis::core
 

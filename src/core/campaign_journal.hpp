@@ -67,7 +67,7 @@ JournalRecord to_journal_record(const CampaignEntry& entry,
 /// (search_wall_time_s, wall_time_s) zeroed — every remaining field is
 /// a pure function of the case and the base options, so a
 /// deterministic-journal line is reproducible byte-for-byte across
-/// runs, processes, thread counts and `run_case` serve replies.
+/// runs, processes and thread counts.
 JournalRecord deterministic_record(JournalRecord record);
 
 /// Reconstructs a (summary-only) entry from a journal record.

@@ -128,157 +128,4 @@ build_explorer_options(const CampaignSpec& spec,
     return options;
 }
 
-FlatJsonFields
-to_fields(const CampaignSpec& spec)
-{
-    FlatJsonFields fields;
-    fields["model"] = spec.model;
-    fields["space"] = spec.space;
-    fields["cases"] = std::to_string(spec.cases);
-    fields["sp_limit"] = format_double_17g(spec.sp_limit_cm2);
-    fields["lat_limit"] = format_double_17g(spec.lat_limit_s);
-    fields["population"] = std::to_string(spec.population);
-    fields["generations"] = std::to_string(spec.generations);
-    fields["seed"] = std::to_string(spec.seed);
-    fields["bright"] = format_double_17g(spec.bright_w_cm2);
-    fields["dark"] = format_double_17g(spec.dark_w_cm2);
-    fields["fault_dropout"] = format_double_17g(spec.fault_dropout);
-    fields["fault_age"] = format_double_17g(spec.fault_age_years);
-    fields["fault_ckpt"] = format_double_17g(spec.fault_ckpt);
-    fields["max_attempts"] = std::to_string(spec.max_attempts);
-    return fields;
-}
-
-FlatJsonFields
-case_request_fields(const CampaignSpec& spec, std::size_t index)
-{
-    FlatJsonFields fields = to_fields(spec);
-    fields["case_index"] = std::to_string(index);
-    return fields;
-}
-
-namespace {
-
-/// Absent fields keep the spec default; present-but-unparsable fields
-/// fatal() — the serve dispatch layer turns that into `bad_request`.
-void
-take_double(const FlatJsonFields& fields, const char* name, double& out)
-{
-    if (fields.find(name) == fields.end())
-        return;
-    if (!json_get_double(fields, name, out))
-        fatal("campaign spec: field '", name, "' is not a number");
-}
-
-void
-take_int(const FlatJsonFields& fields, const char* name, int& out)
-{
-    if (fields.find(name) == fields.end())
-        return;
-    if (!json_get_int(fields, name, out))
-        fatal("campaign spec: field '", name, "' is not an integer");
-}
-
-void
-take_uint64(const FlatJsonFields& fields, const char* name,
-            std::uint64_t& out)
-{
-    if (fields.find(name) == fields.end())
-        return;
-    if (!json_get_uint64(fields, name, out))
-        fatal("campaign spec: field '", name,
-              "' is not an unsigned integer");
-}
-
-}  // namespace
-
-CampaignSpec
-spec_from_fields(const FlatJsonFields& fields)
-{
-    CampaignSpec spec;
-    json_get_string(fields, "model", spec.model);
-    json_get_string(fields, "space", spec.space);
-    take_int(fields, "cases", spec.cases);
-    take_double(fields, "sp_limit", spec.sp_limit_cm2);
-    take_double(fields, "lat_limit", spec.lat_limit_s);
-    take_int(fields, "population", spec.population);
-    take_int(fields, "generations", spec.generations);
-    take_uint64(fields, "seed", spec.seed);
-    take_double(fields, "bright", spec.bright_w_cm2);
-    take_double(fields, "dark", spec.dark_w_cm2);
-    take_double(fields, "fault_dropout", spec.fault_dropout);
-    take_double(fields, "fault_age", spec.fault_age_years);
-    take_double(fields, "fault_ckpt", spec.fault_ckpt);
-    take_int(fields, "max_attempts", spec.max_attempts);
-    spec.validate();
-    return spec;
-}
-
-void
-append_record_fields(std::string& body, const JournalRecord& record)
-{
-    json_append_field(body, "label", record.label);
-    json_append_field(body, "objective", record.objective_label);
-    json_append_raw_field(body, "feasible", record.feasible ? "1" : "0");
-    json_append_raw_field(body, "family", std::to_string(record.family));
-    json_append_raw_field(body, "solar_cm2",
-                          format_double_17g(record.solar_cm2));
-    json_append_raw_field(body, "capacitance_f",
-                          format_double_17g(record.capacitance_f));
-    json_append_raw_field(body, "arch", std::to_string(record.arch));
-    json_append_raw_field(body, "n_pe", std::to_string(record.n_pe));
-    json_append_raw_field(body, "cache_bytes",
-                          std::to_string(record.cache_bytes));
-    json_append_raw_field(body, "mean_latency_s",
-                          format_double_17g(record.mean_latency_s));
-    json_append_raw_field(body, "lat_sp",
-                          format_double_17g(record.lat_sp));
-    json_append_raw_field(body, "score", format_double_17g(record.score));
-    json_append_raw_field(body, "evaluations",
-                          std::to_string(record.evaluations));
-    json_append_raw_field(body, "cache_hits",
-                          std::to_string(record.cache_hits));
-    json_append_raw_field(body, "cache_misses",
-                          std::to_string(record.cache_misses));
-    json_append_raw_field(body, "cache_evictions",
-                          std::to_string(record.cache_evictions));
-    json_append_field(body, "failure_code", record.failure_code);
-    json_append_field(body, "failure_detail", record.failure_detail);
-    json_append_raw_field(body, "attempts",
-                          std::to_string(record.attempts));
-}
-
-bool
-campaign_record_from_fields(const FlatJsonFields& fields,
-                            JournalRecord& record)
-{
-    std::int64_t feasible = 0;
-    const bool ok =
-        json_get_string(fields, "label", record.label) &&
-        json_get_string(fields, "objective", record.objective_label) &&
-        json_get_int64(fields, "feasible", feasible) &&
-        json_get_int(fields, "family", record.family) &&
-        json_get_double(fields, "solar_cm2", record.solar_cm2) &&
-        json_get_double(fields, "capacitance_f", record.capacitance_f) &&
-        json_get_int(fields, "arch", record.arch) &&
-        json_get_int64(fields, "n_pe", record.n_pe) &&
-        json_get_int64(fields, "cache_bytes", record.cache_bytes) &&
-        json_get_double(fields, "mean_latency_s", record.mean_latency_s) &&
-        json_get_double(fields, "lat_sp", record.lat_sp) &&
-        json_get_double(fields, "score", record.score) &&
-        json_get_int64(fields, "evaluations", record.evaluations) &&
-        json_get_uint64(fields, "cache_hits", record.cache_hits) &&
-        json_get_uint64(fields, "cache_misses", record.cache_misses) &&
-        json_get_uint64(fields, "cache_evictions",
-                        record.cache_evictions) &&
-        json_get_string(fields, "failure_code", record.failure_code) &&
-        json_get_string(fields, "failure_detail", record.failure_detail) &&
-        json_get_int(fields, "attempts", record.attempts);
-    record.key.clear();
-    record.feasible = feasible != 0;
-    record.search_wall_time_s = 0.0;
-    record.wall_time_s = 0.0;
-    return ok;
-}
-
 }  // namespace chrysalis::core

@@ -1,17 +1,14 @@
 /// \file
-/// Wire-serializable campaign description, the input of
-/// `chrysalis_cli campaign` and of `run_case` serve requests.
+/// Campaign description, the input of `chrysalis_cli campaign` and of
+/// perfbench's Table-IV campaign.
 ///
 /// A `CampaignSpec` captures everything that shapes a campaign's
 /// *results* — workload, design space, objective cycle, GA budget,
-/// seeds, environments, fault spec — as flat scalar fields, so the same
-/// spec can be (a) expanded locally into `CampaignCase`s +
-/// `ExplorerOptions` and run through `run_campaign`, or (b) encoded
-/// into `chrysalis-serve-v1` `run_case` request fields, one case per
-/// request, whose replies match the local run's records byte for byte
-/// (an outside scheduler can fan the cases out across daemons).
-/// Execution knobs that never change results (thread counts, timeouts,
-/// journal paths) are deliberately *not* part of the spec.
+/// seeds, environments, fault spec — as flat scalar fields, expanded
+/// into `CampaignCase`s + `ExplorerOptions` and run through
+/// `run_campaign`. Execution knobs that never change results (thread
+/// counts, timeouts, journal paths) are deliberately *not* part of the
+/// spec.
 ///
 /// The spec mirrors `chrysalis_cli --campaign`: \p cases search cases
 /// over one workload, objectives cycling latsp/lat/sp, per-case seeds
@@ -25,9 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "common/flat_json.hpp"
 #include "core/campaign.hpp"
-#include "core/campaign_journal.hpp"
 #include "fault/fault_injector.hpp"
 
 namespace chrysalis::core {
@@ -61,10 +56,8 @@ const char* campaign_case_kind(std::size_t index);
 std::string campaign_case_label(const std::string& model_name,
                                 std::size_t index);
 
-/// Builds case \p index over \p model (resolved by the caller so local
-/// runs may use file-loaded models; the `run_case` handler uses
-/// make_model(spec.model), so a caller comparing against its replies
-/// must resolve the model the same way).
+/// Builds case \p index over \p model (resolved by the caller, so runs
+/// may use file-loaded models as well as `spec.model` from the zoo).
 CampaignCase build_campaign_case(const CampaignSpec& spec,
                                  const dnn::Model& model,
                                  std::size_t index);
@@ -79,32 +72,6 @@ std::vector<CampaignCase> build_campaign_cases(const CampaignSpec& spec,
 search::ExplorerOptions
 build_explorer_options(const CampaignSpec& spec,
                        std::unique_ptr<fault::FaultInjector>& faults);
-
-/// Encodes the spec as flat request fields (doubles via
-/// format_double_17g so the encoding is byte-stable and cache-keyable).
-FlatJsonFields to_fields(const CampaignSpec& spec);
-
-/// to_fields() plus the per-request "case_index" field — the parameter
-/// set of one `run_case` request.
-FlatJsonFields case_request_fields(const CampaignSpec& spec,
-                                   std::size_t index);
-
-/// Decodes request fields into a spec. Absent fields keep their
-/// defaults; present-but-unparsable fields fatal() (the serve dispatch
-/// layer converts that into a `bad_request` reply).
-CampaignSpec spec_from_fields(const FlatJsonFields& fields);
-
-/// Appends a journal record's result fields (label, objective,
-/// hardware, metrics, failure, attempts — everything except `key` and
-/// the volatile wall times) to a response body under construction.
-/// Inverse of campaign_record_from_fields().
-void append_record_fields(std::string& body, const JournalRecord& record);
-
-/// Parses the fields appended by append_record_fields() back into a
-/// record (key left empty, wall times zero). Returns false when any
-/// field is missing or malformed.
-bool campaign_record_from_fields(const FlatJsonFields& fields,
-                                 JournalRecord& record);
 
 }  // namespace chrysalis::core
 

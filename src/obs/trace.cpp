@@ -194,10 +194,8 @@ TraceSession::append(TraceEvent event)
 {
     // Spans recorded under an active trace context inherit its
     // attribution, so existing OBS_SPAN sites tag for free.
-    if (t_context.active()) {
+    if (t_context.active())
         event.trace_id = t_context.trace_id;
-        event.case_index = t_context.case_index;
-    }
     ThreadBuffer& buffer = buffer_for_this_thread();
     event.tid = buffer.tid;
     MutexLock lock(buffer.mutex);
@@ -268,8 +266,6 @@ write_chrome_event(std::ostream& out, const TraceEvent& event)
                       static_cast<unsigned long long>(event.trace_id));
         out << buffer << "\"";
     }
-    if (event.case_index >= 0)
-        out << ",\"case\":" << event.case_index;
     out << "}}";
 }
 

@@ -45,24 +45,21 @@ struct TraceEvent {
     double start_us = 0.0;    ///< relative to the session epoch
     // NOLINTNEXTLINE(chrysalis-unit-suffix): Chrome trace spec uses us
     double duration_us = 0.0;
-    // Request-trace attribution (defaults = untagged span; the Chrome
-    // writer emits the extra args only when set, so untraced runs keep
+    // Request-trace attribution (default = untagged span; the Chrome
+    // writer emits the extra arg only when set, so untraced runs keep
     // the plain byte layout).
-    std::uint64_t trace_id = 0;    ///< request trace id; 0 = none
-    std::int64_t case_index = -1;  ///< originating campaign case; -1 = none
+    std::uint64_t trace_id = 0;  ///< request trace id; 0 = none
 };
 
 /// Request trace context carried on the wire as one flat request
 /// field: `"trace":"<trace_id hex>-<parent span hex>-<01|00>"`. The
 /// server parses it, installs it as the calling thread's context for
 /// the request's evaluation (ScopedTraceContext) and every span
-/// recorded meanwhile inherits trace_id/case_index.
+/// recorded meanwhile inherits its trace_id.
 struct TraceContext {
     std::uint64_t trace_id = 0;     ///< 0 = no active trace
     std::uint64_t parent_span = 0;  ///< caller's span id; 0 = root
     bool sampled = true;            ///< false = propagate but do not record
-    std::int64_t case_index = -1;   ///< campaign case; not on the wire
-                                    ///< field (sent as "case_index")
 
     bool active() const { return trace_id != 0 && sampled; }
 };
@@ -71,7 +68,7 @@ struct TraceContext {
 std::string format_trace_field(const TraceContext& context);
 
 /// Parses a wire field value; returns false (and leaves \p out
-/// untouched) on malformed input. case_index is not part of the field.
+/// untouched) on malformed input.
 bool parse_trace_field(std::string_view text, TraceContext& out);
 
 /// The calling thread's current trace context (inactive by default).
@@ -79,7 +76,7 @@ TraceContext current_trace_context();
 
 /// RAII: installs \p context as the calling thread's trace context and
 /// restores the previous one on destruction. Spans recorded while it
-/// is live are stamped with the context's trace_id and case_index.
+/// is live are stamped with the context's trace_id.
 class ScopedTraceContext
 {
   public:
@@ -214,8 +211,8 @@ class SpanTimer
 /// Monotonic wall-clock seconds since an arbitrary process-local epoch
 /// (first call). The deadline/timeout primitive for code outside
 /// src/obs/ — raw clock reads are confined to this subsystem, so
-/// serving-path deadline arithmetic (client request deadlines, server
-/// idle sweeps, chaos schedules) goes through this helper. Never goes
+/// serving-path deadline arithmetic (client reply deadlines, server
+/// idle sweeps) goes through this helper. Never goes
 /// backwards. The epoch is per-process: values from two processes are
 /// not comparable.
 double monotonic_seconds();

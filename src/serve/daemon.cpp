@@ -99,13 +99,13 @@ call_usage(const char* argv0)
 {
     std::printf(
         "usage: %s [--host addr] --port n --type\n"
-        "          eval_design_point|eval_mapping|sim_step|run_case"
+        "          eval_design_point|eval_mapping|sim_step"
         "|server_stats|health\n"
-        "          [--timeout s] [--retries n] [--<field> value ...]\n"
+        "          [--timeout s] [--<field> value ...]\n"
         "Sends one request and prints the raw reply payload. Any flag\n"
         "not listed above becomes a request field, e.g. --model har\n"
-        "--solar_cm2 8 --objective lat. --retries allows n extra\n"
-        "attempts (reconnect + backoff) for memoized request types.\n",
+        "--solar_cm2 8 --objective lat. Exits 1 on a transport\n"
+        "failure or an \"ok\":0 reply.\n",
         argv0);
 }
 
@@ -235,7 +235,6 @@ run_call_cli(int argc, char** argv, int first)
     int port = 0;
     std::string type;
     double timeout_s = 30.0;
-    int retries = 0;
     FlatJsonFields params;
     for (int i = first; i < argc; ++i) {
         std::string inline_value;
@@ -260,8 +259,6 @@ run_call_cli(int argc, char** argv, int first)
             type = next();
         } else if (arg == "--timeout") {
             timeout_s = parse_double_flag(arg, next());
-        } else if (arg == "--retries") {
-            retries = parse_int_flag(arg, next());
         } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
             params[arg.substr(2)] = next();
         } else {
@@ -273,20 +270,14 @@ run_call_cli(int argc, char** argv, int first)
         fatal("--port is required (the server prints it on startup)");
     if (type.empty())
         fatal("--type is required (eval_design_point|eval_mapping|"
-              "sim_step|run_case|server_stats|health)");
-    if (retries < 0)
-        fatal("--retries must be >= 0");
+              "sim_step|server_stats|health)");
 
-    ClientOptions client_options;
-    client_options.max_attempts = retries + 1;
-    Client client(client_options);
-    if (!client.connect(host, port, timeout_s) && retries == 0)
+    Client client;
+    if (!client.connect(host, port, timeout_s))
         fatal("cannot connect to ", host, ":", port);
     Response response;
-    const CallStatus status = client.request(type, params, response);
-    if (status != CallStatus::kOk)
-        fatal("request failed talking to ", host, ":", port, " (",
-              to_string(status), ")");
+    if (!client.call(type, params, response))
+        fatal("request failed talking to ", host, ":", port);
     std::printf("%s\n", response.raw.c_str());
     if (response.ok && type == "server_stats") {
         // Human summary after the raw payload (scripts read line 1);

@@ -7,8 +7,6 @@
 
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
-#include "core/campaign.hpp"
-#include "core/campaign_spec.hpp"
 #include "core/chrysalis.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
@@ -21,52 +19,30 @@ namespace {
 
 // ---- body builders -------------------------------------------------------
 // A body is the comma-joined field list *between* the braces; the
-// leading comma logic therefore keys on emptiness, not on '{'.
-
-void
-body_raw(std::string& body, const char* name, const std::string& value)
-{
-    if (!body.empty())
-        body += ',';
-    body += '"';
-    body += name;
-    body += "\":";
-    body += value;
-}
-
-void
-body_str(std::string& body, const char* name, const std::string& value)
-{
-    if (!body.empty())
-        body += ',';
-    body += '"';
-    body += name;
-    body += "\":";
-    json_append_escaped(body, value);
-}
+// flat_json writers put no comma before its first field.
 
 void
 body_f64(std::string& body, const char* name, double value)
 {
-    body_raw(body, name, format_double_17g(value));
+    json_append_raw_field(body, name, format_double_17g(value));
 }
 
 void
 body_i64(std::string& body, const char* name, std::int64_t value)
 {
-    body_raw(body, name, std::to_string(value));
+    json_append_raw_field(body, name, std::to_string(value));
 }
 
 void
 body_u64(std::string& body, const char* name, std::uint64_t value)
 {
-    body_raw(body, name, std::to_string(value));
+    json_append_raw_field(body, name, std::to_string(value));
 }
 
 void
 body_flag(std::string& body, const char* name, bool value)
 {
-    body_raw(body, name, value ? "1" : "0");
+    json_append_raw_field(body, name, value ? "1" : "0");
 }
 
 // ---- strict field access -------------------------------------------------
@@ -233,7 +209,7 @@ eval_design_point_body(const FlatJsonFields& fields)
 
     std::string body;
     body_flag(body, "ok", true);
-    body_str(body, "type", "eval_design_point");
+    json_append_field(body, "type", "eval_design_point");
     body_flag(body, "feasible", solution.feasible);
     body_f64(body, "score", solution.score);
     body_f64(body, "mean_latency_s", solution.mean_latency_s);
@@ -243,11 +219,11 @@ eval_design_point_body(const FlatJsonFields& fields)
     // Echo the (clamped) candidate that was actually evaluated.
     body_f64(body, "solar_cm2", solution.hardware.solar_cm2);
     body_f64(body, "capacitance_f", solution.hardware.capacitance_f);
-    body_str(body, "arch", hw::to_string(solution.hardware.arch));
+    json_append_field(body, "arch", hw::to_string(solution.hardware.arch));
     body_i64(body, "n_pe", solution.hardware.n_pe);
     body_i64(body, "cache_bytes", solution.hardware.cache_bytes);
-    body_str(body, "failure",
-             std::string(fault::to_string(solution.failure.code)));
+    json_append_field(body, "failure",
+                      std::string(fault::to_string(solution.failure.code)));
     return body;
 }
 
@@ -276,7 +252,7 @@ eval_mapping_body(const FlatJsonFields& fields)
 
     std::string body;
     body_flag(body, "ok", true);
-    body_str(body, "type", "eval_mapping");
+    json_append_field(body, "type", "eval_mapping");
     body_flag(body, "feasible", design.mapping.feasible);
     body_f64(body, "time_s", design.mapping.cost.time_s);
     body_f64(body, "e_all_j", design.mapping.cost.total_energy_j());
@@ -286,9 +262,10 @@ eval_mapping_body(const FlatJsonFields& fields)
     body_f64(body, "violation_j", design.mapping.violation_j);
     body_i64(body, "evaluations", design.mapping.evaluations);
     body_u64(body, "layers", design.mapping.mappings.size());
-    body_str(body, "mappings", mappings);
-    body_str(body, "failure",
-             std::string(fault::to_string(design.mapping.failure.code)));
+    json_append_field(body, "mappings", mappings);
+    json_append_field(
+        body, "failure",
+        std::string(fault::to_string(design.mapping.failure.code)));
     return body;
 }
 
@@ -303,13 +280,14 @@ sim_step_body(const FlatJsonFields& fields)
 
     std::string body;
     body_flag(body, "ok", true);
-    body_str(body, "type", "sim_step");
+    json_append_field(body, "type", "sim_step");
     body_flag(body, "feasible", solution.feasible);
     if (!solution.feasible) {
         // No mapping to replay; report why instead of simulating.
         body_flag(body, "completed", false);
-        body_str(body, "failure",
-                 std::string(fault::to_string(solution.failure.code)));
+        json_append_field(
+            body, "failure",
+            std::string(fault::to_string(solution.failure.code)));
         return body;
     }
 
@@ -330,50 +308,9 @@ sim_step_body(const FlatJsonFields& fields)
     body_i64(body, "ckpt_restores", validation.sim.ckpt_restores);
     body_i64(body, "ckpt_corruptions", validation.sim.ckpt_corruptions);
     body_f64(body, "e_all_j", validation.sim.e_all_j());
-    body_str(body, "failure",
-             std::string(fault::to_string(validation.sim.failure.code)));
-    return body;
-}
-
-/// Executes one whole campaign case — the unit an outside scheduler
-/// can fan out across daemons. The reply carries the case's
-/// *deterministic* journal record (wall times zeroed, doubles in
-/// %.17g): because the daemon runs the exact run_campaign_case code
-/// path a local campaign uses, and the volatile fields are stripped,
-/// the body is a pure function of the request fields and matches the
-/// same case's record in a local `--deterministic` campaign.
-std::string
-run_case_body(const FlatJsonFields& fields)
-{
-    const core::CampaignSpec spec = core::spec_from_fields(fields);
-    std::uint64_t case_index = 0;
-    if (!json_get_uint64(fields, "case_index", case_index))
-        fatal("request field \"case_index\" is missing or not a "
-              "non-negative integer");
-    if (case_index >= static_cast<std::uint64_t>(spec.cases))
-        fatal("request field \"case_index\" (", case_index,
-              ") exceeds the campaign's ", spec.cases, " cases");
-
-    // Daemons resolve the workload by zoo name only: a model *file*
-    // lives on the caller's disk and could not be resolved identically
-    // here.
-    const dnn::Model model = dnn::make_model(spec.model);
-    const core::CampaignCase campaign_case = core::build_campaign_case(
-        spec, model, static_cast<std::size_t>(case_index));
-    std::unique_ptr<fault::FaultInjector> faults;
-    const search::ExplorerOptions options =
-        core::build_explorer_options(spec, faults);
-    const core::CampaignEntry entry = core::run_campaign_case(
-        campaign_case, options, static_cast<std::size_t>(case_index),
-        spec.max_attempts);
-    const core::JournalRecord record = core::deterministic_record(
-        core::to_journal_record(entry, ""));
-
-    std::string body;
-    body_flag(body, "ok", true);
-    body_str(body, "type", "run_case");
-    body_u64(body, "case_index", case_index);
-    core::append_record_fields(body, record);
+    json_append_field(
+        body, "failure",
+        std::string(fault::to_string(validation.sim.failure.code)));
     return body;
 }
 
@@ -382,7 +319,7 @@ server_stats_body(const ServerStatsSnapshot& stats)
 {
     std::string body;
     body_flag(body, "ok", true);
-    body_str(body, "type", "server_stats");
+    json_append_field(body, "type", "server_stats");
     body_u64(body, "connections_open", stats.connections_open);
     body_u64(body, "connections_total", stats.connections_total);
     body_u64(body, "requests_total", stats.requests_total);
@@ -390,7 +327,6 @@ server_stats_body(const ServerStatsSnapshot& stats)
              stats.requests_eval_design_point);
     body_u64(body, "requests_eval_mapping", stats.requests_eval_mapping);
     body_u64(body, "requests_sim_step", stats.requests_sim_step);
-    body_u64(body, "requests_run_case", stats.requests_run_case);
     body_u64(body, "requests_server_stats", stats.requests_server_stats);
     body_u64(body, "requests_health", stats.requests_health);
     body_u64(body, "errors_total", stats.errors_total);
@@ -410,7 +346,7 @@ server_stats_body(const ServerStatsSnapshot& stats)
     body_u64(body, "cache_entries", stats.cache.entries);
     body_u64(body, "cache_capacity", stats.cache.capacity);
     body_f64(body, "cache_hit_rate", stats.cache.hit_rate());
-    body_str(body, "worker_id", stats.worker_id);
+    json_append_field(body, "worker_id", stats.worker_id);
     body_f64(body, "uptime_seconds", stats.uptime_seconds);
     body_u64(body, "latency_count", stats.latency_count);
     body_f64(body, "latency_p50_s", stats.latency_p50_s);
@@ -428,9 +364,9 @@ health_body(const ServerStatsSnapshot& stats)
 {
     std::string body;
     body_flag(body, "ok", true);
-    body_str(body, "type", "health");
-    body_str(body, "status", stats.draining ? "draining" : "ready");
-    body_str(body, "worker_id", stats.worker_id);
+    json_append_field(body, "type", "health");
+    json_append_field(body, "status", stats.draining ? "draining" : "ready");
+    json_append_field(body, "worker_id", stats.worker_id);
     body_flag(body, "draining", stats.draining);
     body_u64(body, "connections_open", stats.connections_open);
     body_u64(body, "pending", stats.pending);
@@ -452,7 +388,7 @@ bool
 response_is_memoized(const std::string& type)
 {
     return type == "eval_design_point" || type == "eval_mapping" ||
-           type == "sim_step" || type == "run_case";
+           type == "sim_step";
 }
 
 CacheKey
@@ -477,8 +413,8 @@ error_body(const std::string& code, const std::string& detail)
 {
     std::string body;
     body_flag(body, "ok", false);
-    body_str(body, "error", code);
-    body_str(body, "detail", detail);
+    json_append_field(body, "error", code);
+    json_append_field(body, "detail", detail);
     return body;
 }
 
@@ -507,14 +443,11 @@ append_timing_fields(std::string& response, double queue_wait_s,
 {
     if (response.empty() || response.back() != '}')
         return;
-    std::string timing;
-    body_f64(timing, "timing_queue_s", queue_wait_s);
-    body_f64(timing, "timing_decode_s", decode_s);
-    body_f64(timing, "timing_eval_s", eval_s);
-    body_f64(timing, "timing_encode_s", encode_s);
     response.pop_back();
-    response += ',';
-    response += timing;
+    body_f64(response, "timing_queue_s", queue_wait_s);
+    body_f64(response, "timing_decode_s", decode_s);
+    body_f64(response, "timing_eval_s", eval_s);
+    body_f64(response, "timing_encode_s", encode_s);
     response += '}';
 }
 
@@ -552,8 +485,6 @@ handle_request_body(const FlatJsonFields& fields, ResponseCache* cache,
                 return eval_design_point_body(fields);
             if (type == "eval_mapping")
                 return eval_mapping_body(fields);
-            if (type == "run_case")
-                return run_case_body(fields);
             return sim_step_body(fields);
         } catch (const FatalError& error) {
             return error_body(kErrBadRequest, error.what());

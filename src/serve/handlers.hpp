@@ -4,14 +4,13 @@
 /// `"id"`), factored out of the server's I/O loop so tests can exercise
 /// every request type without a socket.
 ///
-/// Determinism contract: for `eval_design_point`, `eval_mapping`,
-/// `sim_step` and `run_case` the body is a pure function of the request
-/// fields — all
+/// Determinism contract: for `eval_design_point`, `eval_mapping` and
+/// `sim_step` the body is a pure function of the request fields — all
 /// doubles are rendered with format_double_17g() and all field orders
 /// are fixed — so identical requests produce byte-identical responses
 /// regardless of server thread count, cache state, or which worker ran
-/// them. `server_stats` reports live state and is exempt (and is never
-/// cached).
+/// them. `server_stats` and `health` report live state and are exempt
+/// (and are never cached).
 
 #ifndef CHRYSALIS_SERVE_HANDLERS_HPP
 #define CHRYSALIS_SERVE_HANDLERS_HPP
@@ -38,7 +37,6 @@ struct ServerStatsSnapshot {
     std::uint64_t requests_eval_design_point = 0;
     std::uint64_t requests_eval_mapping = 0;
     std::uint64_t requests_sim_step = 0;
-    std::uint64_t requests_run_case = 0;
     std::uint64_t requests_server_stats = 0;
     std::uint64_t requests_health = 0;
     std::uint64_t errors_total = 0;        ///< "ok":0 replies sent
@@ -74,13 +72,9 @@ struct ServerStatsSnapshot {
 std::uint64_t request_id(const FlatJsonFields& fields);
 
 /// True for request types whose response goes through the StableHash
-/// response memo (`eval_design_point`, `eval_mapping`, `sim_step`,
-/// `run_case`):
-/// their replies are pure functions of the request fields. This is also
-/// the retry-safety classification — the resilient client resends only
-/// memoized types after a transport failure, because a lost reply to
-/// one costs a cache hit, never a second side effect. `server_stats`
-/// and `health` report live state and are neither cached nor retried.
+/// response memo (`eval_design_point`, `eval_mapping`, `sim_step`):
+/// their replies are pure functions of the request fields.
+/// `server_stats` and `health` report live state and are never cached.
 bool response_is_memoized(const std::string& type);
 
 /// Stable memo key of a request: StableHash over the protocol version
@@ -117,7 +111,7 @@ std::string error_body(const std::string& code, const std::string& detail);
 std::string finish_response(std::uint64_t id, const std::string& body);
 
 /// finish_response(error_body(...)) in one step — the server's reply
-/// for refused requests (overload, malformed frame, shutdown).
+/// for refused requests (overload, malformed payload or frame).
 std::string error_response(std::uint64_t id, const std::string& code,
                            const std::string& detail);
 

@@ -41,7 +41,6 @@ inline constexpr const char* kErrBadRequest = "bad_request";
 inline constexpr const char* kErrBadVersion = "bad_version";
 inline constexpr const char* kErrUnknownType = "unknown_type";
 inline constexpr const char* kErrOverloaded = "overloaded";
-inline constexpr const char* kErrShuttingDown = "shutting_down";
 
 /// Frames \p payload: 4-byte big-endian length followed by the bytes.
 /// fatal() when the payload exceeds kMaxFrameBytes (an internal caller

@@ -239,10 +239,8 @@ Server::loop()
         const double now_s = obs::monotonic_seconds();
         std::vector<pollfd> fds;
         fds.push_back({wake_read_fd_, POLLIN, 0});
-        const bool accepting =
-            static_cast<int>(connections_.size()) <
-                options_.max_connections &&
-            now_s >= accept_not_before_s;
+        const bool accepting = static_cast<int>(connections_.size()) <
+                               options_.max_connections;
         const std::size_t listen_index = fds.size();
         if (accepting)
             fds.push_back({listen_fd_, POLLIN, 0});
@@ -250,14 +248,8 @@ Server::loop()
         std::vector<std::uint64_t> ids;
         ids.reserve(connections_.size());
         for (const Connection& connection : connections_) {
-            // Chaos deferrals mask the corresponding readiness bit so a
-            // hot socket cannot spin the loop while its op is stalled;
-            // POLLERR/POLLHUP are still reported on a zero mask.
-            short events = 0;
-            if (now_s >= connection.read_not_before_s)
-                events |= POLLIN;
-            if (connection.out_offset < connection.out.size() &&
-                now_s >= connection.write_not_before_s)
+            short events = POLLIN;
+            if (connection.out_offset < connection.out.size())
                 events |= POLLOUT;
             fds.push_back({connection.fd, events, 0});
             ids.push_back(connection.id);
@@ -265,7 +257,7 @@ Server::loop()
 
         int timeout_ms = pending_.empty() ? -1 : 0;
         if (timeout_ms != 0) {
-            const double deadline_s = next_deadline_s(now_s);
+            const double deadline_s = next_deadline_s();
             if (std::isfinite(deadline_s)) {
                 const double wait_s = std::max(0.0, deadline_s - now_s);
                 // Round up so we never wake a hair before the deadline
@@ -335,18 +327,10 @@ Server::loop()
 }
 
 double
-Server::next_deadline_s(double now_s) const
+Server::next_deadline_s() const
 {
     double next_s = std::numeric_limits<double>::infinity();
-    if (static_cast<int>(connections_.size()) < options_.max_connections &&
-        accept_not_before_s > now_s)
-        next_s = std::min(next_s, accept_not_before_s);
     for (const Connection& connection : connections_) {
-        if (connection.read_not_before_s > now_s)
-            next_s = std::min(next_s, connection.read_not_before_s);
-        if (connection.out_offset < connection.out.size() &&
-            connection.write_not_before_s > now_s)
-            next_s = std::min(next_s, connection.write_not_before_s);
         if (options_.read_timeout_s > 0.0 &&
             connection.decoder.buffered_bytes() > 0)
             next_s = std::min(next_s, connection.last_activity_s +
@@ -405,20 +389,6 @@ Server::accept_ready()
 {
     while (static_cast<int>(connections_.size()) <
            options_.max_connections) {
-        if (options_.chaos != nullptr) {
-            const double now_s = obs::monotonic_seconds();
-            if (now_s < accept_not_before_s)
-                return;  // still stalled; poll timeout resumes us
-            if (!accept_stall_checked_) {
-                accept_stall_checked_ = true;
-                const double stall_s =
-                    options_.chaos->accept_stall(accept_index_);
-                if (stall_s > 0.0) {
-                    accept_not_before_s = now_s + stall_s;
-                    return;
-                }
-            }
-        }
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
@@ -428,21 +398,9 @@ Server::accept_ready()
             // never the listener.
             return;
         }
-        const std::uint64_t accept_index = accept_index_++;
-        accept_stall_checked_ = false;
         set_nonblocking(fd);
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        if (options_.chaos != nullptr &&
-            options_.chaos->refuse_connect(accept_index)) {
-            // Simulated refusal: RST before a single byte is served, so
-            // the client sees the same failure as a dead listener.
-            const linger hard_reset{1, 0};
-            ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard_reset,
-                         sizeof hard_reset);
-            ::close(fd);
-            continue;
-        }
         Connection connection;
         connection.fd = fd;
         connection.id = next_connection_id_++;
@@ -460,18 +418,6 @@ Server::accept_ready()
 void
 Server::read_ready(Connection& connection)
 {
-    if (options_.chaos != nullptr) {
-        const double now_s = obs::monotonic_seconds();
-        if (now_s < connection.read_not_before_s)
-            return;  // deferred; the poll timeout resumes us
-        const double delay_s =
-            options_.chaos->read_delay(connection.id,
-                                       connection.read_ops++);
-        if (delay_s > 0.0) {
-            connection.read_not_before_s = now_s + delay_s;
-            return;
-        }
-    }
     char buffer[4096];
     while (true) {
         const ssize_t received =
@@ -569,13 +515,8 @@ Server::ingest_payload(Connection& connection, const std::string& payload)
     // A client's trace context rides along as an optional field; a
     // malformed value is ignored (tracing must never fail a request).
     std::string trace_field;
-    if (json_get_string(fields, "trace", trace_field) &&
-        obs::parse_trace_field(trace_field, request.trace_ctx)) {
-        std::uint64_t case_index = 0;
-        if (json_get_uint64(fields, "case_index", case_index))
-            request.trace_ctx.case_index =
-                static_cast<std::int64_t>(case_index);
-    }
+    if (json_get_string(fields, "trace", trace_field))
+        obs::parse_trace_field(trace_field, request.trace_ctx);
     request.fields = std::move(fields);
     request.timer = std::make_unique<obs::SpanTimer>("serve/request");
     request.enqueue_mono_s = obs::monotonic_seconds();
@@ -589,8 +530,6 @@ Server::ingest_payload(Connection& connection, const std::string& payload)
             ++counters_.requests_eval_mapping;
         else if (type == "sim_step")
             ++counters_.requests_sim_step;
-        else if (type == "run_case")
-            ++counters_.requests_run_case;
         else if (type == "server_stats")
             ++counters_.requests_server_stats;
         else if (type == "health")
@@ -728,49 +667,12 @@ void
 Server::flush(Connection& connection)
 {
     while (connection.out_offset < connection.out.size()) {
-        std::size_t want =
-            connection.out.size() - connection.out_offset;
-        bool torn = false;
-        double stall_s = 0.0;
-        if (options_.chaos != nullptr) {
-            const double now_s = obs::monotonic_seconds();
-            if (now_s < connection.write_not_before_s)
-                return;  // stalled; the poll timeout resumes us
-            const std::uint64_t write_op = connection.write_ops++;
-            if (options_.chaos->reset_after_write(connection.id,
-                                                  write_op)) {
-                // Deliver one more chunk, then RST mid-frame: the
-                // client sees a torn reply followed by ECONNRESET.
-                const std::size_t cap =
-                    options_.chaos->spec().torn_write_chunk_bytes;
-                [[maybe_unused]] const ssize_t sent = ::send(
-                    connection.fd,
-                    connection.out.data() + connection.out_offset,
-                    std::min(want, cap), MSG_NOSIGNAL);
-                reset_connection(connection.id);
-                return;
-            }
-            const std::size_t cap = options_.chaos->write_cap_bytes(
-                connection.id, write_op);
-            if (cap < want) {
-                want = cap;
-                torn = true;
-                stall_s =
-                    options_.chaos->write_stall(connection.id, write_op);
-            }
-        }
         const ssize_t sent = ::send(
             connection.fd, connection.out.data() + connection.out_offset,
-            want, MSG_NOSIGNAL);
+            connection.out.size() - connection.out_offset, MSG_NOSIGNAL);
         if (sent > 0) {
             connection.out_offset += static_cast<std::size_t>(sent);
             connection.last_activity_s = obs::monotonic_seconds();
-            if (torn && stall_s > 0.0 &&
-                connection.out_offset < connection.out.size()) {
-                connection.write_not_before_s =
-                    connection.last_activity_s + stall_s;
-                return;  // resume after the inter-chunk stall
-            }
             continue;
         }
         if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
@@ -792,26 +694,6 @@ Server::close_connection(std::uint64_t connection_id)
     for (std::size_t i = 0; i < connections_.size(); ++i) {
         if (connections_[i].id != connection_id)
             continue;
-        ::close(connections_[i].fd);
-        connections_.erase(
-            connections_.begin() + static_cast<std::ptrdiff_t>(i));
-        MutexLock lock(stats_mutex_);
-        --counters_.connections_open;
-        return;
-    }
-}
-
-void
-Server::reset_connection(std::uint64_t connection_id)
-{
-    for (std::size_t i = 0; i < connections_.size(); ++i) {
-        if (connections_[i].id != connection_id)
-            continue;
-        // SO_LINGER with zero timeout turns close() into an immediate
-        // RST — the chaos schedule's mid-frame connection reset.
-        const linger hard_reset{1, 0};
-        ::setsockopt(connections_[i].fd, SOL_SOCKET, SO_LINGER,
-                     &hard_reset, sizeof hard_reset);
         ::close(connections_[i].fd);
         connections_.erase(
             connections_.begin() + static_cast<std::ptrdiff_t>(i));

@@ -31,13 +31,6 @@
 /// `max_write_buffer_bytes` is dropped instead of growing the buffer
 /// without bound. Every socket syscall retries on EINTR.
 ///
-/// Chaos hook (tests and the chaos bench only): when
-/// `ServerOptions::chaos` points at a `fault::NetFaultInjector`, the
-/// I/O loop consults its seed-deterministic schedule to tear writes
-/// into delayed chunks, hard-reset connections mid-frame, defer reads
-/// and stall accepts — without touching the request/reply semantics, so
-/// a resilient client must still extract byte-identical replies.
-///
 /// stop() drains: queued requests are evaluated, replies are flushed
 /// (bounded by `drain_timeout_s`), then sockets close. While draining,
 /// `health` replies report "draining".
@@ -56,7 +49,6 @@
 
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
-#include "fault/net_fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
@@ -89,10 +81,6 @@ struct ServerOptions {
     /// Closes a connection whose unflushed reply bytes exceed this
     /// (slow-consumer defense; the peer asked and never read).
     std::size_t max_write_buffer_bytes = 8u << 20;
-    /// Test-only network chaos schedule; nullptr (the default) in
-    /// production. Non-owning — the caller keeps the injector alive
-    /// for the server's lifetime.
-    const fault::NetFaultInjector* chaos = nullptr;
     /// Identity reported in `server_stats`/`health` replies so clients
     /// and logs can attribute work to a daemon. Empty (the default)
     /// resolves to "<hostname>:<port>" at start(), after the listening
@@ -145,11 +133,6 @@ class Server
         /// monotonic_seconds() of the last byte-level progress in
         /// either direction; the idle/read-timeout reference point.
         double last_activity_s = 0.0;
-        // Chaos bookkeeping (unused when options_.chaos == nullptr).
-        double read_not_before_s = 0.0;   ///< deferred-read deadline
-        double write_not_before_s = 0.0;  ///< torn-write stall deadline
-        std::uint64_t read_ops = 0;       ///< chaos read-op index
-        std::uint64_t write_ops = 0;      ///< chaos write-op index
     };
 
     struct PendingRequest {
@@ -159,8 +142,7 @@ class Server
         std::string type;
         /// Queue+eval latency probe; records a trace span when released.
         std::unique_ptr<obs::SpanTimer> timer;
-        /// Parsed "trace" request field (trace_id 0 = untraced); its
-        /// case_index is filled from the request's "case_index" field.
+        /// Parsed "trace" request field (trace_id 0 = untraced).
         obs::TraceContext trace_ctx;
         /// monotonic_seconds() when the request entered pending_ —
         /// queue_wait = dispatch time minus this.
@@ -180,14 +162,11 @@ class Server
     /// Returns false when the connection was closed (see ingest_payload).
     bool enqueue_reply(Connection& connection, const std::string& response);
     void close_connection(std::uint64_t connection_id);
-    /// close_connection with an immediate RST (SO_LINGER 0) — the
-    /// chaos hook's mid-frame reset.
-    void reset_connection(std::uint64_t connection_id);
     /// Closes connections whose read/idle deadline has passed.
     void sweep_timeouts(double now_s);
-    /// Earliest future wakeup the poll timeout must honor (chaos
-    /// stalls, read/idle deadlines); +inf when there is none.
-    double next_deadline_s(double now_s) const;
+    /// Earliest read/idle deadline the poll timeout must honor; +inf
+    /// when there is none.
+    double next_deadline_s() const;
     Connection* find_connection(std::uint64_t connection_id);
     void drain_and_close();
     ServerStatsSnapshot snapshot_locked() const
@@ -211,9 +190,6 @@ class Server
     std::vector<Connection> connections_;
     std::deque<PendingRequest> pending_;
     std::uint64_t next_connection_id_ = 1;
-    std::uint64_t accept_index_ = 0;       ///< chaos accept-op index
-    double accept_not_before_s = 0.0;      ///< chaos accept-stall deadline
-    bool accept_stall_checked_ = false;    ///< one consult per accept
 
     // Counters, shared with stats() callers.
     mutable Mutex stats_mutex_;

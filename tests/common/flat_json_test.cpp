@@ -104,6 +104,27 @@ TEST(FlatJson, ControlCharactersEscapeAndRoundTrip)
     EXPECT_EQ(fields.at("v"), text);
 }
 
+TEST(FlatJson, WritersStartAnEmptyBufferWithoutAComma)
+{
+    // A serve reply body is a bare field list: its first field goes
+    // into an empty buffer and takes no comma; later fields do, exactly
+    // as after an object's opening '{'.
+    std::string raw_first;
+    json_append_raw_field(raw_first, "ok", "1");
+    json_append_field(raw_first, "type", "health");
+    EXPECT_EQ(raw_first, R"("ok":1,"type":"health")");
+
+    std::string string_first;
+    json_append_field(string_first, "a", "x");
+    json_append_raw_field(string_first, "n", "2");
+    EXPECT_EQ(string_first, R"("a":"x","n":2)");
+
+    std::string object = "{";
+    json_append_raw_field(object, "n", "2");
+    json_append_field(object, "a", "x");
+    EXPECT_EQ(object, R"({"n":2,"a":"x")");
+}
+
 TEST(FlatJson, UnicodeEscapeDecodes)
 {
     // In a raw string the escape below is six literal characters --

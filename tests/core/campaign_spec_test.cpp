@@ -1,10 +1,8 @@
 /// \file
-/// CampaignSpec wire round-trips and the deterministic-journal
-/// guarantees `run_case` replies build on: a spec encodes to
-/// flat fields and back without loss, cases built from a spec match the
-/// classic CLI campaign scheme, deterministic_record() strips exactly
-/// the volatile fields, and a deterministic journal is byte-stable
-/// across runs.
+/// CampaignSpec expansion and the deterministic-journal guarantees:
+/// cases built from a spec match the classic CLI campaign scheme,
+/// deterministic_record() strips exactly the volatile fields, and a
+/// deterministic journal is byte-stable across runs.
 
 #include "core/campaign_spec.hpp"
 
@@ -45,70 +43,6 @@ read_file(const std::string& path)
     std::ostringstream out;
     out << input.rdbuf();
     return out.str();
-}
-
-TEST(CampaignSpec, FieldsRoundTripExactly)
-{
-    CampaignSpec spec;
-    spec.model = "har";
-    spec.space = "future";
-    spec.cases = 7;
-    spec.sp_limit_cm2 = 12.5;
-    spec.lat_limit_s = 0.333333333333333314829616256247390992939472198486328125;
-    spec.population = 10;
-    spec.generations = 3;
-    spec.seed = 42;
-    spec.bright_w_cm2 = 1.75e-3;
-    spec.dark_w_cm2 = 0.25e-3;
-    spec.fault_dropout = 0.125;
-    spec.fault_age_years = 2.5;
-    spec.fault_ckpt = 0.0625;
-    spec.max_attempts = 3;
-
-    const FlatJsonFields fields = to_fields(spec);
-    const CampaignSpec decoded = spec_from_fields(fields);
-    EXPECT_EQ(decoded.model, spec.model);
-    EXPECT_EQ(decoded.space, spec.space);
-    EXPECT_EQ(decoded.cases, spec.cases);
-    EXPECT_EQ(decoded.sp_limit_cm2, spec.sp_limit_cm2);
-    EXPECT_EQ(decoded.lat_limit_s, spec.lat_limit_s);
-    EXPECT_EQ(decoded.population, spec.population);
-    EXPECT_EQ(decoded.generations, spec.generations);
-    EXPECT_EQ(decoded.seed, spec.seed);
-    EXPECT_EQ(decoded.bright_w_cm2, spec.bright_w_cm2);
-    EXPECT_EQ(decoded.dark_w_cm2, spec.dark_w_cm2);
-    EXPECT_EQ(decoded.fault_dropout, spec.fault_dropout);
-    EXPECT_EQ(decoded.fault_age_years, spec.fault_age_years);
-    EXPECT_EQ(decoded.fault_ckpt, spec.fault_ckpt);
-    EXPECT_EQ(decoded.max_attempts, spec.max_attempts);
-
-    // Re-encoding the decoded spec must reproduce the exact fields —
-    // this is what makes run_case requests cache-keyable.
-    EXPECT_EQ(to_fields(decoded), fields);
-}
-
-TEST(CampaignSpec, DefaultsSurviveAnEmptyFieldSet)
-{
-    const CampaignSpec defaults;
-    const CampaignSpec decoded = spec_from_fields({});
-    EXPECT_EQ(decoded.model, defaults.model);
-    EXPECT_EQ(decoded.cases, defaults.cases);
-    EXPECT_EQ(decoded.population, defaults.population);
-    EXPECT_EQ(decoded.seed, defaults.seed);
-    EXPECT_EQ(decoded.max_attempts, defaults.max_attempts);
-}
-
-TEST(CampaignSpec, CaseRequestFieldsCarryTheIndex)
-{
-    const CampaignSpec spec = small_spec();
-    const FlatJsonFields fields = case_request_fields(spec, 3);
-    std::uint64_t index = 0;
-    ASSERT_TRUE(json_get_uint64(fields, "case_index", index));
-    EXPECT_EQ(index, 3u);
-    // Everything else is to_fields(spec).
-    FlatJsonFields base = fields;
-    base.erase("case_index");
-    EXPECT_EQ(base, to_fields(spec));
 }
 
 TEST(CampaignSpec, ObjectiveKindsCycleLikeTheCli)
@@ -172,76 +106,6 @@ TEST(CampaignSpec, DeterministicRecordZeroesOnlyWallTimes)
     EXPECT_EQ(cleaned.label, record.label);
     EXPECT_EQ(cleaned.score, record.score);
     EXPECT_EQ(cleaned.attempts, record.attempts);
-}
-
-TEST(CampaignSpec, RecordFieldsRoundTripThroughAResponseBody)
-{
-    JournalRecord record;
-    record.label = "kws-sp-2";
-    record.objective_label = "sp";
-    record.feasible = true;
-    record.family = 1;
-    record.solar_cm2 = 9.25;
-    record.capacitance_f = 6.25e-5;
-    record.arch = 2;
-    record.n_pe = 8;
-    record.cache_bytes = 4096;
-    record.mean_latency_s = 0.125;
-    record.lat_sp = 1.15625;
-    record.score = 9.25;
-    record.evaluations = 40;
-    record.cache_hits = 7;
-    record.cache_misses = 33;
-    record.cache_evictions = 2;
-    record.failure_code = "energy_depleted";
-    record.failure_detail = "dropout at t=1.5";
-    record.attempts = 2;
-
-    std::string body = "{";
-    append_record_fields(body, record);
-    body += '}';
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json(body, fields));
-    JournalRecord decoded;
-    ASSERT_TRUE(campaign_record_from_fields(fields, decoded));
-
-    EXPECT_EQ(decoded.label, record.label);
-    EXPECT_EQ(decoded.objective_label, record.objective_label);
-    EXPECT_EQ(decoded.feasible, record.feasible);
-    EXPECT_EQ(decoded.family, record.family);
-    EXPECT_EQ(decoded.solar_cm2, record.solar_cm2);
-    EXPECT_EQ(decoded.capacitance_f, record.capacitance_f);
-    EXPECT_EQ(decoded.arch, record.arch);
-    EXPECT_EQ(decoded.n_pe, record.n_pe);
-    EXPECT_EQ(decoded.cache_bytes, record.cache_bytes);
-    EXPECT_EQ(decoded.mean_latency_s, record.mean_latency_s);
-    EXPECT_EQ(decoded.lat_sp, record.lat_sp);
-    EXPECT_EQ(decoded.score, record.score);
-    EXPECT_EQ(decoded.evaluations, record.evaluations);
-    EXPECT_EQ(decoded.cache_hits, record.cache_hits);
-    EXPECT_EQ(decoded.cache_misses, record.cache_misses);
-    EXPECT_EQ(decoded.cache_evictions, record.cache_evictions);
-    EXPECT_EQ(decoded.failure_code, record.failure_code);
-    EXPECT_EQ(decoded.failure_detail, record.failure_detail);
-    EXPECT_EQ(decoded.attempts, record.attempts);
-    // The wire carries no identity or wall-clock fields.
-    EXPECT_TRUE(decoded.key.empty());
-    EXPECT_EQ(decoded.search_wall_time_s, 0.0);
-    EXPECT_EQ(decoded.wall_time_s, 0.0);
-}
-
-TEST(CampaignSpec, MissingRecordFieldsAreRejected)
-{
-    JournalRecord record;
-    record.label = "x";
-    std::string body = "{";
-    append_record_fields(body, record);
-    body += '}';
-    FlatJsonFields fields;
-    ASSERT_TRUE(scan_flat_json(body, fields));
-    fields.erase("score");
-    JournalRecord decoded;
-    EXPECT_FALSE(campaign_record_from_fields(fields, decoded));
 }
 
 TEST(CampaignSpec, DeterministicJournalIsByteStableAcrossRuns)

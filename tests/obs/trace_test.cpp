@@ -154,7 +154,6 @@ TEST(TraceSessionTest, AddSpanLandsOnTheSessionTimeline)
         ScopedTrace scope(session);
         TraceContext context;
         context.trace_id = 0x42;
-        context.case_index = 3;
         ScopedTraceContext scoped_context(context);
         OBS_SPAN("outer");
         // A stage timed with monotonic readings taken inside "outer"
@@ -173,7 +172,6 @@ TEST(TraceSessionTest, AddSpanLandsOnTheSessionTimeline)
     EXPECT_EQ(stage.depth, 1u);
     // Like any recorded span it inherits the thread's trace context.
     EXPECT_EQ(stage.trace_id, 0x42u);
-    EXPECT_EQ(stage.case_index, 3);
 }
 
 TEST(SpanTimerTest, TimesWithoutSession)

@@ -1,9 +1,9 @@
 /// \file
-/// Resilient-client tests against deliberately hostile servers: the
-/// whole-frame wall-clock deadline (a trickling server cannot wedge a
-/// request), clean errors for replies truncated at every byte offset,
-/// reassembly of replies split at every byte offset, transport-failure
-/// retries, the idempotence restriction and the circuit breaker.
+/// Client tests against deliberately hostile servers: the whole-frame
+/// wall-clock deadline (a trickling server cannot wedge a request),
+/// clean errors for replies truncated at every byte offset, reassembly
+/// of replies split at every byte offset, and a fast failure on a
+/// refused connect.
 
 #include "serve/client.hpp"
 
@@ -25,7 +25,6 @@
 
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 
 namespace {
 
@@ -143,10 +142,8 @@ TEST(ServeClient, TrickleServerCannotOutliveTheFrameDeadline)
         }
     });
 
-    serve::ClientOptions options;
-    options.request_timeout_s = 0.25;
-    serve::Client client(options);
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
+    serve::Client client;
+    ASSERT_TRUE(client.connect("127.0.0.1", server.port(), 0.25));
     ASSERT_TRUE(client.send_frame("{\"v\":1,\"id\":1,"
                                   "\"type\":\"server_stats\"}"));
     const double start_s = obs::monotonic_seconds();
@@ -175,10 +172,8 @@ TEST(ServeClient, ReplyTruncatedAtEveryOffsetFailsCleanly)
 
     for (std::size_t offset = 0; offset < frame.size(); ++offset) {
         cut.store(offset);
-        serve::ClientOptions options;
-        options.request_timeout_s = 5.0;
-        serve::Client client(options);
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
+        serve::Client client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), 5.0))
             << "offset " << offset;
         ASSERT_TRUE(client.send_frame("{\"v\":1,\"id\":1,"
                                       "\"type\":\"server_stats\"}"));
@@ -212,10 +207,8 @@ TEST(ServeClient, ReplySplitAtEveryOffsetReassembles)
 
     for (std::size_t offset = 0; offset < frame.size(); ++offset) {
         cut.store(offset);
-        serve::ClientOptions options;
-        options.request_timeout_s = 5.0;
-        serve::Client client(options);
-        ASSERT_TRUE(client.connect("127.0.0.1", server.port()))
+        serve::Client client;
+        ASSERT_TRUE(client.connect("127.0.0.1", server.port(), 5.0))
             << "offset " << offset;
         ASSERT_TRUE(client.send_frame("{\"v\":1,\"id\":1,"
                                       "\"type\":\"server_stats\"}"));
@@ -226,110 +219,6 @@ TEST(ServeClient, ReplySplitAtEveryOffsetReassembles)
     }
 }
 
-TEST(ServeClient, RequestRetriesThroughDroppedConnections)
-{
-    // The first two connections die without a reply; the third answers.
-    // The resilient path must deliver the reply on attempt 3.
-    ScriptedServer server([&](int fd, int index) {
-        if (index < 2) {
-            swallow_request(fd);
-            return;  // close without replying
-        }
-        swallow_request(fd);
-        const std::string frame = canned_reply_frame();
-        (void)!::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
-    });
-
-    serve::ClientOptions options;
-    options.max_attempts = 5;
-    options.backoff_base_s = 0.001;
-    options.backoff_max_s = 0.01;
-    options.request_timeout_s = 5.0;
-    serve::Client client(options);
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-
-    serve::Response response;
-    EXPECT_EQ(client.request("eval_design_point", {}, response),
-              serve::CallStatus::kOk);
-    EXPECT_TRUE(response.ok);
-    EXPECT_EQ(response.id, 1u);
-    EXPECT_EQ(client.retry_stats().attempts, 3u);
-    EXPECT_EQ(client.retry_stats().retries, 2u);
-    EXPECT_GE(client.retry_stats().reconnects, 2u);
-}
-
-TEST(ServeClient, NonMemoizedTypesAreNeverRetried)
-{
-    // server_stats is live state, not memoized: a lost reply must not
-    // be resent however many attempts the options allow.
-    ScriptedServer server([](int fd, int) { swallow_request(fd); });
-
-    serve::ClientOptions options;
-    options.max_attempts = 5;
-    options.backoff_base_s = 0.001;
-    options.request_timeout_s = 2.0;
-    serve::Client client(options);
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-
-    serve::Response response;
-    EXPECT_EQ(client.request("server_stats", {}, response),
-              serve::CallStatus::kTransportError);
-    EXPECT_EQ(client.retry_stats().attempts, 1u);
-    EXPECT_EQ(client.retry_stats().retries, 0u);
-}
-
-TEST(ServeClient, CircuitBreakerOpensFastFailsAndRecovers)
-{
-    // Reserve a port, then close the listener so connections to it are
-    // refused.
-    int dead_port = 0;
-    {
-        ScriptedServer placeholder([](int, int) {});
-        dead_port = placeholder.port();
-    }
-
-    serve::ClientOptions options;
-    options.connect_timeout_s = 1.0;
-    options.request_timeout_s = 1.0;
-    options.max_attempts = 1;
-    options.circuit_breaker_threshold = 2;
-    options.circuit_breaker_cooldown_s = 0.1;
-    serve::Client client(options);
-    EXPECT_FALSE(client.connect("127.0.0.1", dead_port));
-
-    serve::Response response;
-    EXPECT_EQ(client.request("eval_design_point", {}, response),
-              serve::CallStatus::kTransportError);
-    EXPECT_FALSE(client.circuit_open());
-    EXPECT_EQ(client.request("eval_design_point", {}, response),
-              serve::CallStatus::kTransportError);
-    EXPECT_TRUE(client.circuit_open());
-    EXPECT_EQ(client.retry_stats().circuit_opens, 1u);
-
-    // While open: fast-fail without touching the network.
-    const std::uint64_t attempts_before = client.retry_stats().attempts;
-    EXPECT_EQ(client.request("eval_design_point", {}, response),
-              serve::CallStatus::kCircuitOpen);
-    EXPECT_EQ(client.retry_stats().attempts, attempts_before);
-    EXPECT_EQ(client.retry_stats().circuit_open_rejections, 1u);
-
-    // A healthy server appears; after the cooldown the half-open probe
-    // must close the breaker again.
-    serve::ServerOptions server_options;
-    server_options.host = "127.0.0.1";
-    server_options.threads = 1;
-    serve::Server server(server_options);
-    server.start();
-    EXPECT_TRUE(client.connect("127.0.0.1", server.port()));
-    brief_pause(150);  // let the cooldown elapse
-    EXPECT_EQ(client.request("eval_design_point",
-                             {{"model", "kws"}}, response),
-              serve::CallStatus::kOk);
-    EXPECT_TRUE(response.ok);
-    EXPECT_FALSE(client.circuit_open());
-    server.stop();
-}
-
 TEST(ServeClient, ConnectToRefusedPortFailsFast)
 {
     int dead_port = 0;
@@ -337,11 +226,9 @@ TEST(ServeClient, ConnectToRefusedPortFailsFast)
         ScriptedServer placeholder([](int, int) {});
         dead_port = placeholder.port();
     }
-    serve::ClientOptions options;
-    options.connect_timeout_s = 5.0;
-    serve::Client client(options);
+    serve::Client client;
     const double start_s = obs::monotonic_seconds();
-    EXPECT_FALSE(client.connect("127.0.0.1", dead_port));
+    EXPECT_FALSE(client.connect("127.0.0.1", dead_port, 5.0));
     EXPECT_LT(obs::monotonic_seconds() - start_s, 2.0);
 }
 

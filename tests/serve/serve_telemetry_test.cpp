@@ -68,13 +68,6 @@ TEST(Handlers, CacheKeyIgnoresTraceContext)
     different["model"] = "har";
     EXPECT_NE(serve::request_cache_key(untraced),
               serve::request_cache_key(different));
-
-    // "case_index" is attribution data, not trace plumbing, and stays
-    // in the key deliberately — only "id" and "trace" are exempt.
-    FlatJsonFields attributed = untraced;
-    attributed["case_index"] = "0";
-    EXPECT_NE(serve::request_cache_key(untraced),
-              serve::request_cache_key(attributed));
 }
 
 TEST(Handlers, TracedRequestHitsUntracedMemoEntry)
