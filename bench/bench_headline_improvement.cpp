@@ -5,9 +5,10 @@
 /// The bench aggregates lat*sp improvements of the full CHRYSALIS search
 /// over reference designs across both evaluation campaigns:
 ///   - existing-AuT (Table IV apps) vs the iNAS original configuration;
-///   - future-AuT (Table V nets x 2 archs) vs the strongest
-///     inference-only ablation (wo/EA), which represents prior
-///     accelerator-DSE practice.
+///   - future-AuT (Table V nets x 2 archs) vs the space's frozen defaults
+///     for that arch (64 PEs, 512 B cache per PE, an 8 cm^2 panel and a
+///     1 mF capacitor) under the searched mapping: a stock accelerator
+///     paired with an ad-hoc energy subsystem, not a searched ablation.
 
 #include <iostream>
 

@@ -1,19 +1,24 @@
 /// \file
 /// Micro-benchmarks (google-benchmark) for the framework's hot paths:
 /// per-layer cost analysis, whole-model analysis, the analytic evaluator,
-/// the SW-level mapping search (whole, and ranking a prebuilt grid),
-/// simulator stepping, and a full GA generation. These quantify the
+/// the SW-level mapping search (whole, and ranking a prebuilt grid), one
+/// accelerator candidate's evaluation, simulator stepping, and a full GA
+/// generation. These quantify the
 /// analytic-vs-step-simulation ablation called out in DESIGN.md. Each
 /// case's real time per iteration becomes a `<case>_ns` headline of the
 /// run report.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/bench_util.hpp"
 #include "core/chrysalis.hpp"
 #include "dnn/model_zoo.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/msp430_lea.hpp"
+#include "search/bilevel_explorer.hpp"
 #include "search/mapping_search.hpp"
 #include "sim/analytic_evaluator.hpp"
 #include "sim/intermittent_simulator.hpp"
@@ -129,6 +134,44 @@ BM_MappingGridSearchCifar(benchmark::State& state)
         benchmark::DoNotOptimize(grid.rank(envs));
 }
 BENCHMARK(BM_MappingGridSearchCifar)->Arg(4)->Arg(6)->Arg(8);
+
+void
+BM_ExplorerEvaluateAccelerator(benchmark::State& state,
+                               hw::AcceleratorArch arch)
+{
+    // One hardware candidate's full evaluation on a space that searches
+    // the PE count and cache size, as fig10's searching methods run it:
+    // the explorer is built once, and evaluate() skips the memo, so
+    // every iteration runs the inner mapping search for its candidate.
+    search::DesignSpace space = search::DesignSpace::future_aut();
+    space.search_arch = false;
+    space.defaults.arch = arch;
+    search::ExplorerOptions options;
+    options.inner.max_candidates_per_dim = 5;
+    const search::BiLevelExplorer explorer(
+        dnn::make_model("resnet18"), space,
+        search::Objective{search::ObjectiveKind::kLatSp, 0.0, 0.0},
+        options);
+    std::vector<search::HwCandidate> candidates;
+    for (const std::int64_t n_pe : {1, 3, 7, 16, 32, 64, 100, 168}) {
+        for (const std::int64_t cache :
+             {128, 160, 256, 384, 512, 768, 1024, 2048}) {
+            search::HwCandidate candidate = space.defaults;
+            candidate.n_pe = n_pe;
+            candidate.cache_bytes = cache;
+            candidates.push_back(candidate);
+        }
+    }
+    std::size_t next = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(explorer.evaluate(candidates[next]));
+        next = (next + 1) % candidates.size();
+    }
+}
+BENCHMARK_CAPTURE(BM_ExplorerEvaluateAccelerator, tpu,
+                  hw::AcceleratorArch::kTpu);
+BENCHMARK_CAPTURE(BM_ExplorerEvaluateAccelerator, eyeriss,
+                  hw::AcceleratorArch::kEyeriss);
 
 void
 BM_ExplorerGeneration(benchmark::State& state)

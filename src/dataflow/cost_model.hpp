@@ -138,7 +138,11 @@ struct ModelCost {
     double max_tile_time_s() const;
 };
 
-/// Analyzes one layer under one mapping.
+/// Analyzes one layer under one mapping: validates \p params and
+/// \p mapping (fatal() otherwise), then runs the pass of the mapping's
+/// dataflow over the pair's hardware-free geometry (both steps in
+/// dataflow/hardware_pass.hpp, for callers that run one geometry on
+/// many hardware configurations).
 LayerCost analyze_layer(const dnn::Layer& layer, const LayerMapping& mapping,
                         const CostParams& params);
 

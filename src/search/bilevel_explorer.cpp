@@ -71,12 +71,17 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
             options_.cache_capacity);
     }
 
-    if (space_.fixes_hardware() &&
-        options_.inner.strategy ==
-            MappingSearchOptions::Strategy::kExhaustive) {
+    if (options_.inner.strategy ==
+        MappingSearchOptions::Strategy::kExhaustive) {
         OBS_SPAN("search/inner");
-        grid_.emplace(model_, *space_.clamp(space_.defaults).build_hardware(),
-                      options_.inner.max_candidates_per_dim);
+        const std::size_t width = options_.inner.max_candidates_per_dim;
+        if (space_.fixes_hardware()) {
+            grid_.emplace(model_,
+                          *space_.clamp(space_.defaults).build_hardware(),
+                          width);
+        } else {
+            table_.emplace(model_, dataflow::all_dataflows(), width);
+        }
     }
 }
 
@@ -137,6 +142,10 @@ BiLevelExplorer::evaluate(const HwCandidate& raw_candidate) const
     if (grid_) {
         OBS_SPAN("search/inner");
         design.mapping = grid_->rank(envs);
+    } else if (table_) {
+        OBS_SPAN("search/inner");
+        design.mapping =
+            table_->rank(*design.candidate.build_hardware(), envs);
     } else {
         design.mapping = search_mappings(
             model_, *design.candidate.build_hardware(), envs,

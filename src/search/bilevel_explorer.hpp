@@ -82,12 +82,18 @@ struct ExplorationResult {
 
 /// Bi-level explorer: owns the workload, design space and objective.
 ///
-/// When the space fixes the inference hardware
-/// (DesignSpace::fixes_hardware()) and the inner strategy is exhaustive,
-/// the constructor analyzes that hardware's MappingGrid once and every
-/// candidate ranks it against its own environments, which is exactly
-/// what search_mappings() returns for that candidate. Otherwise each
-/// candidate calls search_mappings().
+/// With the exhaustive inner strategy the constructor does the inner
+/// search's hardware-free work once, and every candidate gets exactly
+/// what search_mappings() returns for it:
+///   - When the space fixes the inference hardware
+///     (DesignSpace::fixes_hardware()), the constructor scores that
+///     hardware's MappingGrid, and every candidate ranks the stored
+///     scores against its own environments.
+///   - Otherwise the constructor builds a GeometryTable over every
+///     dataflow, and every candidate runs the hardware pass of its own
+///     hardware over it, fused with the ranking.
+/// With the genetic inner strategy each candidate calls
+/// search_mappings().
 class BiLevelExplorer
 {
   public:
@@ -154,7 +160,8 @@ class BiLevelExplorer
     ExplorerOptions options_;
     StableHash context_hash_;  ///< premixed non-candidate inputs
     mutable std::unique_ptr<runtime::EvalCache<EvaluatedDesign>> cache_;
-    std::optional<MappingGrid> grid_;  ///< shared by every candidate
+    std::optional<MappingGrid> grid_;     ///< fixed hardware
+    std::optional<GeometryTable> table_;  ///< searched hardware
 };
 
 }  // namespace chrysalis::search

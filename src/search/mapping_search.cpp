@@ -37,9 +37,9 @@ class EnvBudgets
     /// Worst-case Eq. 8 overshoot of a layer's tiles across all
     /// environments; 0 when the layer is feasible everywhere.
     double
-    violation(const AnalyzedMapping& candidate)
+    violation(const CandidateScore& candidate)
     {
-        if (!candidate.cost.feasible)
+        if (!candidate.feasible)
             return kInfinity;
         if (!built_)
             build();
@@ -74,30 +74,25 @@ class EnvBudgets
     bool leakage_dominated_ = false;
 };
 
-AnalyzedMapping
-analyze(const dnn::Layer& layer, const dataflow::LayerMapping& mapping,
-        const dataflow::CostParams& params)
+/// What the ranking reads of \p cost.
+CandidateScore
+score_of(const dataflow::LayerCost& cost)
 {
-    AnalyzedMapping analyzed;
-    analyzed.mapping = mapping;
-    analyzed.cost = dataflow::analyze_layer(layer, mapping, params);
-    analyzed.total_energy_j = analyzed.cost.total_energy_j();
-    analyzed.tile_energy_j = analyzed.cost.tile_energy_j();
-    analyzed.tile_time_s = analyzed.cost.tile_time_s();
-    return analyzed;
+    return {cost.feasible, cost.n_tile, cost.total_energy_j(),
+            cost.tile_energy_j(), cost.tile_time_s()};
 }
 
 /// What both strategies rank a candidate by, read from its
-/// AnalyzedMapping under one set of Eq. 8 budgets.
+/// CandidateScore under one set of Eq. 8 budgets.
 struct Score {
     double violation;
     double total_energy_j;
     std::int64_t n_tile;
 
-    Score(const AnalyzedMapping& candidate, EnvBudgets& budgets)
+    Score(const CandidateScore& candidate, EnvBudgets& budgets)
         : violation(budgets.violation(candidate)),
           total_energy_j(candidate.total_energy_j),
-          n_tile(candidate.cost.n_tile)
+          n_tile(candidate.n_tile)
     {
     }
 
@@ -116,11 +111,42 @@ struct Score {
     }
 };
 
-/// Takes \p chosen as the next layer's mapping: its cost joins the model
-/// cost, and an Eq. 8 violation fails the search.
+/// The best candidate so far, seeded with the first one: a later
+/// candidate replaces it only when it ranks strictly better, so among
+/// equals the first wins. Seeded rather than empty: an emptiness test on
+/// every candidate let the compiler turn the rare update into
+/// conditional moves, chaining each comparison to the one before.
+struct RunningBest {
+    std::size_t index;
+    Score score;
+
+    /// True when the best is feasible and cheaper than \p total_energy_j:
+    /// then a candidate of that E_all ranks below it whatever its Eq. 8
+    /// violation, which need not be computed. The budgets are already
+    /// built then, since only a built, non-leaky check returns zero.
+    bool
+    outranks(double total_energy_j) const
+    {
+        return score.violation == 0.0 &&
+               total_energy_j > score.total_energy_j;
+    }
+
+    void
+    offer(std::size_t candidate, const Score& candidate_score)
+    {
+        if (candidate_score.better_than(score)) {
+            index = candidate;
+            score = candidate_score;
+        }
+    }
+};
+
+/// Takes \p mapping as the next layer's: \p cost joins the model cost,
+/// and an Eq. 8 violation fails the search.
 void
-take_layer(MappingSearchResult& result, const AnalyzedMapping& chosen,
-           double violation)
+take_layer(MappingSearchResult& result,
+           const dataflow::LayerMapping& mapping,
+           const dataflow::LayerCost& cost, double violation)
 {
     if (violation > 0.0) {
         result.feasible = false;
@@ -132,8 +158,36 @@ take_layer(MappingSearchResult& result, const AnalyzedMapping& chosen,
                     ": no mapping satisfies Eq. 8 in every environment");
         }
     }
-    result.mappings.push_back(chosen.mapping);
-    result.cost.add_layer(chosen.cost);
+    result.mappings.push_back(mapping);
+    result.cost.add_layer(cost);
+}
+
+/// What one distinct shape's ranking chose for every layer of that
+/// shape.
+struct Choice {
+    dataflow::LayerMapping mapping;
+    dataflow::LayerCost cost;
+    double violation = 0.0;
+    std::int64_t ranked = 0;  ///< candidates compared per layer
+};
+
+/// The layers of a search whose shapes made the choices \p chosen: per
+/// layer, its shape's mapping and cost, and its grid's size in
+/// evaluations.
+MappingSearchResult
+take_choices(const std::vector<Choice>& chosen,
+             const std::vector<std::size_t>& layer_shape)
+{
+    MappingSearchResult result;
+    result.feasible = true;
+    result.mappings.reserve(layer_shape.size());
+    result.cost.layers.reserve(layer_shape.size());
+    for (const std::size_t shape : layer_shape) {
+        const Choice& choice = chosen[shape];
+        take_layer(result, choice.mapping, choice.cost, choice.violation);
+        result.evaluations += choice.ranked;
+    }
+    return result;
 }
 
 /// NVM capacity: weights, the worst inter-layer activation pair and the
@@ -173,6 +227,15 @@ publish_search(std::int64_t evaluations)
     }
 }
 
+void
+publish_analyses(std::int64_t analyses)
+{
+    if (obs::MetricsRegistry* registry = obs::metrics()) {
+        registry->counter("search/inner/analyses")
+            .add(static_cast<std::uint64_t>(analyses));
+    }
+}
+
 std::vector<dataflow::Dataflow>
 supported_dataflows(const hw::InferenceHardware& hardware)
 {
@@ -183,9 +246,22 @@ supported_dataflows(const hw::InferenceHardware& hardware)
     return dataflows;
 }
 
+/// analyze_layer()'s checks on the hardware, made once per hardware
+/// before its pass runs.
+const dataflow::CostParams&
+checked(const dataflow::CostParams& params)
+{
+    if (params.n_pe < 1)
+        fatal("mapping search: n_pe must be >= 1, got ", params.n_pe);
+    if (params.vm_bytes_per_pe < 1)
+        fatal("mapping search: vm_bytes_per_pe must be >= 1");
+    return params;
+}
+
 /// One member of the genetic strategy's population.
 struct Individual {
-    AnalyzedMapping analyzed;
+    dataflow::LayerMapping mapping;
+    dataflow::LayerCost cost;
     Score score;
 };
 
@@ -239,10 +315,11 @@ search_layer_genetic(const dnn::Layer& layer,
     };
 
     const auto evaluate = [&](const dataflow::LayerMapping& mapping) {
-        AnalyzedMapping analyzed = analyze(layer, mapping, params);
-        const Score score(analyzed, budgets);
+        const dataflow::LayerCost cost =
+            dataflow::analyze_layer(layer, mapping, params);
+        const Score score(score_of(cost), budgets);
         ++evaluations;
-        return Individual{std::move(analyzed), score};
+        return Individual{mapping, cost, score};
     };
 
     std::vector<Individual> population;
@@ -259,26 +336,24 @@ search_layer_genetic(const dnn::Layer& layer,
             const auto& parent =
                 population[static_cast<std::size_t>(rng.uniform_int(
                     0, static_cast<std::int64_t>(keep) - 1))];
-            population[i] = evaluate(mutate(parent.analyzed.mapping));
+            population[i] = evaluate(mutate(parent.mapping));
         }
     }
     return *std::min_element(population.begin(), population.end(), better);
 }
 
-}  // namespace
-
-MappingGrid::MappingGrid(const dnn::Model& model,
-                         const hw::InferenceHardware& hardware,
-                         std::size_t max_candidates_per_dim)
+/// Calls \p add_shape(layer) for the first layer of each distinct
+/// shape of \p model, in order; \returns each layer's shape index. The
+/// cost model depends on a layer only through its shape
+/// (dnn::same_shape), so a layer repeating an earlier shape shares that
+/// shape's grid.
+template <class AddShape>
+std::vector<std::size_t>
+distinct_shapes(const dnn::Model& model, AddShape&& add_shape)
 {
-    const dataflow::CostParams params = hardware.cost_params();
-    const auto dataflows = supported_dataflows(hardware);
-
-    // The grid depends on a layer only through its shape, so a layer
-    // repeating an earlier shape shares that shape's grid.
     std::vector<const dnn::Layer*> firsts;  // first layer of each shape
-    std::int64_t analyses = 0;
-    layer_shape_.reserve(model.layer_count());
+    std::vector<std::size_t> layer_shape;
+    layer_shape.reserve(model.layer_count());
     for (std::size_t i = 0; i < model.layer_count(); ++i) {
         const dnn::Layer& layer = model.layer(i);
         auto first = std::find_if(
@@ -286,30 +361,160 @@ MappingGrid::MappingGrid(const dnn::Model& model,
                 return dnn::same_shape(*seen, layer);
             });
         if (first == firsts.end()) {
-            const auto mappings = dataflow::enumerate_mappings(
-                layer, dataflows, max_candidates_per_dim);
-            if (mappings.empty())
-                panic("MappingGrid: no candidates for ", layer.name);
-            std::vector<AnalyzedMapping> candidates;
-            candidates.reserve(mappings.size());
-            for (const auto& mapping : mappings)
-                candidates.push_back(analyze(layer, mapping, params));
-            analyses += static_cast<std::int64_t>(candidates.size());
-            shapes_.push_back(std::move(candidates));
+            add_shape(layer);
             firsts.push_back(&layer);
             first = std::prev(firsts.end());
         }
-        layer_shape_.push_back(
+        layer_shape.push_back(
             static_cast<std::size_t>(first - firsts.begin()));
     }
+    return layer_shape;
+}
 
-    nvm_capacity_bytes_ = hardware.nvm_capacity_bytes();
-    weight_bytes_ = model.total_weight_bytes();
-    peak_activation_bytes_ = model.peak_activation_bytes();
-    if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/inner/analyses")
-            .add(static_cast<std::uint64_t>(analyses));
+/// Runs the hardware pass of \p dataflow over the \p count geometry
+/// records at \p geometry, calling visit(i, LayerCost) for the i-th: one
+/// switch per block, so the block's loop inlines one pass.
+template <class Visit>
+void
+run_block(dataflow::Dataflow dataflow, const dataflow::LayerGeometry* geometry,
+          std::size_t count, const dataflow::HardwareTerms& terms,
+          Visit&& visit)
+{
+    dataflow::with_dataflow(dataflow, [&](auto tag) {
+        for (std::size_t i = 0; i < count; ++i) {
+            visit(i, dataflow::hardware_pass<decltype(tag)::value>(
+                         geometry[i], terms));
+        }
+    });
+}
+
+}  // namespace
+
+GeometryTable::GeometryTable(const dnn::Model& model,
+                             const std::vector<dataflow::Dataflow>& dataflows,
+                             std::size_t max_candidates_per_dim)
+    : dataflows_(dataflows), weight_bytes_(model.total_weight_bytes()),
+      peak_activation_bytes_(model.peak_activation_bytes())
+{
+    if (dataflows_.empty())
+        panic("GeometryTable: no dataflows");
+    layer_shape_ = distinct_shapes(model, [&](const dnn::Layer& layer) {
+        Shape shape;
+        shape.mappings = dataflow::enumerate_mappings(
+            layer, dataflows_, max_candidates_per_dim);
+        if (shape.mappings.empty())
+            panic("GeometryTable: no candidates for ", layer.name);
+        shape.block = shape.mappings.size() / dataflows_.size();
+        shape.geometry.reserve(shape.mappings.size());
+        for (const auto& mapping : shape.mappings)
+            shape.geometry.push_back(dataflow::geometry(layer, mapping));
+        shapes_.push_back(std::move(shape));
+    });
+}
+
+std::size_t
+GeometryTable::block_of(dataflow::Dataflow dataflow) const
+{
+    const auto it = std::find(dataflows_.begin(), dataflows_.end(), dataflow);
+    if (it == dataflows_.end())
+        panic("GeometryTable: no geometry for dataflow ",
+              dataflow::to_string(dataflow));
+    return static_cast<std::size_t>(it - dataflows_.begin());
+}
+
+MappingSearchResult
+GeometryTable::rank(const hw::InferenceHardware& hardware,
+                    const std::vector<sim::EnergyEnv>& envs) const
+{
+    if (envs.empty())
+        fatal("GeometryTable::rank: at least one energy environment "
+              "required");
+    const dataflow::HardwareTerms terms(checked(hardware.cost_params()));
+    const auto dataflows = supported_dataflows(hardware);
+
+    // Rank each shape's grid once, in first-occurrence order and the
+    // hardware's dataflow order: the order in which a per-layer walk
+    // meets the candidates, so the budgets are built at the same
+    // candidate and among equals the first in enumerate_mappings() order
+    // wins. The ranking reads only a CandidateScore of each pass, so
+    // the pass computes little more; the chosen candidate's full cost
+    // comes from running it again.
+    EnvBudgets budgets(envs);
+    std::vector<Choice> chosen;
+    chosen.reserve(shapes_.size());
+    std::int64_t analyses = 0;
+    for (const Shape& shape : shapes_) {
+        // The hardware's first candidate seeds the ranking and is then
+        // offered again, which never displaces it.
+        const std::size_t seed = block_of(dataflows.front()) * shape.block;
+        RunningBest best{
+            seed,
+            Score(score_of(dataflow::hardware_pass(shape.geometry[seed],
+                                                   terms)),
+                  budgets)};
+        for (const dataflow::Dataflow dataflow : dataflows) {
+            const std::size_t block = block_of(dataflow) * shape.block;
+            run_block(dataflow, &shape.geometry[block], shape.block, terms,
+                      [&](std::size_t i, const dataflow::LayerCost& cost) {
+                          if (!best.outranks(cost.total_energy_j())) {
+                              best.offer(block + i,
+                                         Score(score_of(cost), budgets));
+                          }
+                      });
+        }
+        const auto ranked =
+            static_cast<std::int64_t>(shape.block * dataflows.size());
+        analyses += ranked;
+        chosen.push_back(
+            {shape.mappings[best.index],
+             dataflow::hardware_pass(shape.geometry[best.index], terms),
+             best.score.violation, ranked});
     }
+    publish_analyses(analyses);
+
+    MappingSearchResult result = take_choices(chosen, layer_shape_);
+    check_nvm_capacity(result, hardware.nvm_capacity_bytes(), weight_bytes_,
+                       peak_activation_bytes_);
+    publish_search(result.evaluations);
+    return result;
+}
+
+MappingGrid::MappingGrid(const dnn::Model& model,
+                         const hw::InferenceHardware& hardware,
+                         std::size_t max_candidates_per_dim)
+    : nvm_capacity_bytes_(hardware.nvm_capacity_bytes()),
+      weight_bytes_(model.total_weight_bytes()),
+      peak_activation_bytes_(model.peak_activation_bytes())
+{
+    const dataflow::HardwareTerms terms(checked(hardware.cost_params()));
+    const auto dataflows = supported_dataflows(hardware);
+    std::int64_t analyses = 0;
+    layer_shape_ = distinct_shapes(model, [&](const dnn::Layer& layer) {
+        // The grid runs each pass once, so it keeps no geometry.
+        Shape shape;
+        shape.mappings = dataflow::enumerate_mappings(layer, dataflows,
+                                                      max_candidates_per_dim);
+        if (shape.mappings.empty())
+            panic("MappingGrid: no candidates for ", layer.name);
+        shape.costs.reserve(shape.mappings.size());
+        const std::size_t block = shape.mappings.size() / dataflows.size();
+        for (std::size_t b = 0; b < dataflows.size(); ++b) {
+            dataflow::with_dataflow(dataflows[b], [&](auto tag) {
+                for (std::size_t i = b * block; i < (b + 1) * block; ++i) {
+                    shape.costs.push_back(
+                        dataflow::hardware_pass<decltype(tag)::value>(
+                            dataflow::geometry(layer, shape.mappings[i]),
+                            terms));
+                }
+            });
+        }
+        shape.scores.reserve(shape.costs.size());
+        for (const dataflow::LayerCost& cost : shape.costs)
+            shape.scores.push_back(score_of(cost));
+        analyses += static_cast<std::int64_t>(shape.mappings.size());
+        shapes_.push_back(std::move(shape));
+    });
+    publish_analyses(analyses);
 }
 
 MappingSearchResult
@@ -318,36 +523,23 @@ MappingGrid::rank(const std::vector<sim::EnergyEnv>& envs) const
     if (envs.empty())
         fatal("MappingGrid::rank: at least one energy environment required");
 
-    // Rank each shape's grid once, in first-occurrence order: the order
-    // in which a per-layer walk meets the candidates, so the budgets are
-    // built at the same candidate. Among equals the first candidate in
-    // enumerate_mappings() order wins.
+    // Rank each shape's grid once, in first-occurrence order, as
+    // GeometryTable::rank() does.
     EnvBudgets budgets(envs);
-    std::vector<std::pair<std::size_t, double>> chosen;  // (index, violation)
+    std::vector<Choice> chosen;
     chosen.reserve(shapes_.size());
-    for (const auto& candidates : shapes_) {
-        std::size_t best = 0;
-        Score best_score(candidates.front(), budgets);
-        for (std::size_t c = 1; c < candidates.size(); ++c) {
-            const Score score(candidates[c], budgets);
-            if (score.better_than(best_score)) {
-                best = c;
-                best_score = score;
-            }
+    for (const Shape& shape : shapes_) {
+        RunningBest best{0, Score(shape.scores.front(), budgets)};
+        for (std::size_t c = 1; c < shape.scores.size(); ++c) {
+            const CandidateScore& candidate = shape.scores[c];
+            if (!best.outranks(candidate.total_energy_j))
+                best.offer(c, Score(candidate, budgets));
         }
-        chosen.emplace_back(best, best_score.violation);
+        chosen.push_back({shape.mappings[best.index],
+                          shape.costs[best.index], best.score.violation,
+                          static_cast<std::int64_t>(shape.scores.size())});
     }
-
-    MappingSearchResult result;
-    result.feasible = true;
-    result.mappings.reserve(layer_shape_.size());
-    result.cost.layers.reserve(layer_shape_.size());
-    for (const std::size_t shape : layer_shape_) {
-        const auto& [best, violation] = chosen[shape];
-        take_layer(result, shapes_[shape][best], violation);
-        result.evaluations +=
-            static_cast<std::int64_t>(shapes_[shape].size());
-    }
+    MappingSearchResult result = take_choices(chosen, layer_shape_);
     check_nvm_capacity(result, nvm_capacity_bytes_, weight_bytes_,
                        peak_activation_bytes_);
     publish_search(result.evaluations);
@@ -364,8 +556,9 @@ search_mappings(const dnn::Model& model,
         fatal("search_mappings: at least one energy environment required");
     OBS_SPAN("search/inner");
     if (options.strategy == MappingSearchOptions::Strategy::kExhaustive) {
-        return MappingGrid(model, hardware, options.max_candidates_per_dim)
-            .rank(envs);
+        return GeometryTable(model, supported_dataflows(hardware),
+                             options.max_candidates_per_dim)
+            .rank(hardware, envs);
     }
 
     // The genetic strategy draws one RNG stream layer by layer, so it
@@ -382,16 +575,13 @@ search_mappings(const dnn::Model& model,
         const Individual best =
             search_layer_genetic(model.layer(i), dataflows, params, budgets,
                                  options, result.evaluations, rng);
-        take_layer(result, best.analyzed, best.score.violation);
+        take_layer(result, best.mapping, best.cost, best.score.violation);
     }
     check_nvm_capacity(result, hardware.nvm_capacity_bytes(),
                        model.total_weight_bytes(),
                        model.peak_activation_bytes());
     publish_search(result.evaluations);
-    if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/inner/analyses")
-            .add(static_cast<std::uint64_t>(result.evaluations));
-    }
+    publish_analyses(result.evaluations);
     return result;
 }
 

@@ -12,12 +12,15 @@
 ///
 /// Two strategies are provided: bounded exhaustive enumeration per layer
 /// and a GAMMA-style per-layer genetic search for very large tiling
-/// spaces. The exhaustive strategy splits in two: a MappingGrid analyzes
-/// each distinct layer shape's tiling grid once for one hardware (Eqs.
-/// 4-6 do not depend on the environments), and a ranking pass applies
-/// Eq. 8 for one set of environments. search_mappings() builds a grid
-/// and ranks it; a caller whose hardware never changes builds one grid
-/// and ranks it per environment set.
+/// spaces. The exhaustive strategy splits the cost model in two (see
+/// dataflow/hardware_pass.hpp). A GeometryTable holds the hardware-free
+/// geometry of each distinct layer shape's tiling grid; ranking it runs
+/// the hardware pass of every candidate fused with Eq. 8 for one
+/// hardware and one set of environments. search_mappings() builds a
+/// table and ranks it once; an explorer that searches the hardware
+/// builds one table and ranks it per candidate. A MappingGrid, for a
+/// caller whose hardware never changes, runs the hardware pass once and
+/// ranks the stored scores per environment set.
 
 #ifndef CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
 #define CHRYSALIS_SEARCH_MAPPING_SEARCH_HPP
@@ -26,6 +29,7 @@
 #include <vector>
 
 #include "dataflow/cost_model.hpp"
+#include "dataflow/hardware_pass.hpp"
 #include "dnn/model.hpp"
 #include "fault/failure.hpp"
 #include "hw/inference_hardware.hpp"
@@ -54,35 +58,83 @@ struct MappingSearchResult {
     fault::SimFailure failure;  ///< why the search failed, when infeasible
     /// (layer, candidate) pairs ranked: every layer's whole grid, also
     /// when a layer repeats an earlier layer's shape or the grid was
-    /// analyzed by an earlier call, so the count does not depend on
+    /// scored by an earlier call, so the count does not depend on
     /// either. The metrics counter `search/inner/analyses` counts the
-    /// cost-model calls actually made.
+    /// hardware-pass evaluations actually made.
     std::int64_t evaluations = 0;
 };
 
-/// One (layer, mapping) pair analyzed by the cost model, with the Eq. 4/5
-/// values the ranking compares, each computed once from that cost.
-struct AnalyzedMapping {
-    dataflow::LayerMapping mapping;
-    dataflow::LayerCost cost;
-    double total_energy_j = 0.0;  ///< cost.total_energy_j(), E_all
-    double tile_energy_j = 0.0;   ///< cost.tile_energy_j(), E_tile
-    double tile_time_s = 0.0;     ///< cost.tile_time_s()
+/// What the ranking reads of one candidate's LayerCost: feasibility,
+/// N_tile, and the Eq. 4/5 energies and tile time, each computed once.
+struct CandidateScore {
+    bool feasible = false;
+    std::int64_t n_tile = 1;
+    double total_energy_j = 0.0;  ///< LayerCost::total_energy_j(), E_all
+    double tile_energy_j = 0.0;   ///< LayerCost::tile_energy_j(), E_tile
+    double tile_time_s = 0.0;     ///< LayerCost::tile_time_s()
 };
 
-/// The exhaustive strategy's cost table for one (model, hardware, grid
-/// width): every candidate of every distinct layer shape, in
-/// dataflow::enumerate_mappings() order, analyzed once.
+/// The exhaustive strategy's hardware-free table for one (model, grid
+/// width, dataflow list): the dataflow::LayerGeometry of every candidate
+/// of every distinct layer shape (dnn::same_shape), in
+/// dataflow::enumerate_mappings() order, so one block of candidates per
+/// dataflow. Built once; each ranking runs only the hardware pass.
 ///
 /// Ranking is const and keeps its Eq. 8 budgets on its own stack, so
-/// several threads may rank one grid at once. The grid holds no pointer
-/// into the model or the hardware; it copies the NVM-footprint terms the
+/// several threads may rank one table at once. The table holds no
+/// pointer into the model; it copies the NVM-footprint terms the
 /// capacity check needs.
+class GeometryTable
+{
+  public:
+    /// Builds the geometry of every distinct layer shape's grid at
+    /// \p max_candidates_per_dim, over \p dataflows.
+    GeometryTable(const dnn::Model& model,
+                  const std::vector<dataflow::Dataflow>& dataflows,
+                  std::size_t max_candidates_per_dim);
+
+    /// search_mappings()'s exhaustive result for \p hardware against
+    /// \p envs: the hardware pass over every candidate of the hardware's
+    /// dataflows, walked in its supported_dataflows() order and counted
+    /// in `search/inner/analyses`, fused with the ranking. The table must
+    /// hold each of those dataflows (panic() otherwise); \p envs must not
+    /// be empty.
+    MappingSearchResult rank(const hw::InferenceHardware& hardware,
+                             const std::vector<sim::EnergyEnv>& envs) const;
+
+  private:
+    /// One distinct layer shape's grid.
+    struct Shape {
+        std::vector<dataflow::LayerMapping> mappings;
+        std::vector<dataflow::LayerGeometry> geometry;  ///< per mapping
+        std::size_t block = 0;  ///< candidates per dataflow
+    };
+
+    /// Position of \p dataflow's block in every shape's grid.
+    std::size_t block_of(dataflow::Dataflow dataflow) const;
+
+    std::vector<dataflow::Dataflow> dataflows_;
+    std::vector<Shape> shapes_;  ///< in first-occurrence order
+    std::vector<std::size_t> layer_shape_;  ///< per layer, into shapes_
+    std::int64_t weight_bytes_ = 0;
+    std::int64_t peak_activation_bytes_ = 0;
+};
+
+/// The exhaustive strategy's cost table for one fixed (model, hardware,
+/// grid width): the grid of every distinct layer shape over the
+/// hardware's dataflows, in GeometryTable order, with the hardware pass
+/// run once per candidate at construction. Per candidate the grid keeps
+/// the CandidateScore the ranking reads (40 B), and apart from it the
+/// mapping and LayerCost a chosen candidate contributes.
+///
+/// Ranking is const, runs no cost model and keeps its Eq. 8 budgets on
+/// its own stack, so several threads may rank one grid at once. The grid
+/// holds no pointer into the model or the hardware.
 class MappingGrid
 {
   public:
-    /// Analyzes the grid of every distinct layer shape (dnn::same_shape)
-    /// at \p max_candidates_per_dim, counting the cost-model calls in
+    /// Runs the hardware pass over the grid of every distinct layer
+    /// shape at \p max_candidates_per_dim, counting it in
     /// `search/inner/analyses`.
     MappingGrid(const dnn::Model& model,
                 const hw::InferenceHardware& hardware,
@@ -97,8 +149,14 @@ class MappingGrid
     MappingSearchResult rank(const std::vector<sim::EnergyEnv>& envs) const;
 
   private:
-    /// Candidates of each distinct shape, in first-occurrence order.
-    std::vector<std::vector<AnalyzedMapping>> shapes_;
+    /// One distinct layer shape's candidates, in GeometryTable order.
+    struct Shape {
+        std::vector<CandidateScore> scores;  ///< what the ranking reads
+        std::vector<dataflow::LayerMapping> mappings;
+        std::vector<dataflow::LayerCost> costs;
+    };
+
+    std::vector<Shape> shapes_;  ///< in first-occurrence order
     std::vector<std::size_t> layer_shape_;  ///< per layer, into shapes_
     std::int64_t nvm_capacity_bytes_ = 0;  ///< 0 = unlimited
     std::int64_t weight_bytes_ = 0;
@@ -106,7 +164,7 @@ class MappingGrid
 };
 
 /// Runs the SW-level mapping search. The exhaustive strategy builds a
-/// MappingGrid and ranks it.
+/// GeometryTable over the hardware's dataflows and ranks it.
 /// \param envs environments the design must run in (feasibility must hold
 ///        in each; typically the brighter and darker presets).
 MappingSearchResult search_mappings(const dnn::Model& model,

@@ -414,7 +414,18 @@ error_body(const std::string& code, const std::string& detail)
     std::string body;
     body_flag(body, "ok", false);
     json_append_field(body, "error", code);
-    json_append_field(body, "detail", detail);
+    if (detail.size() <= kMaxErrorDetailBytes) {
+        json_append_field(body, "detail", detail);
+        return body;
+    }
+    // Continuation bytes of a UTF-8 sequence start with bits 10.
+    std::size_t cut = kMaxErrorDetailBytes;
+    while (cut > 0 && (static_cast<unsigned char>(detail[cut]) & 0xc0) == 0x80)
+        --cut;
+    json_append_field(body, "detail",
+                      detail.substr(0, cut) + "... [" +
+                          std::to_string(detail.size() - cut) +
+                          " more bytes]");
     return body;
 }
 

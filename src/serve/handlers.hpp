@@ -15,6 +15,7 @@
 #ifndef CHRYSALIS_SERVE_HANDLERS_HPP
 #define CHRYSALIS_SERVE_HANDLERS_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -103,7 +104,16 @@ void append_timing_fields(std::string& response, double queue_wait_s,
                           double decode_s, double eval_s,
                           double encode_s);
 
+/// Longest `detail` an error reply echoes, in bytes of the raw value. A
+/// detail may quote the request (an unknown type, a bad model name), and
+/// JSON escaping writes at most 6 bytes per byte, so cutting it here is
+/// what keeps every reply to an admitted frame within kMaxFrameBytes.
+inline constexpr std::size_t kMaxErrorDetailBytes = 1024;
+
 /// Body of an `"ok":0` reply: `"ok":0,"error":<code>,"detail":<detail>`.
+/// A detail longer than kMaxErrorDetailBytes is cut there, back to a
+/// UTF-8 character boundary, and ends in a `... [<n> more bytes]`
+/// marker.
 std::string error_body(const std::string& code, const std::string& detail);
 
 /// Wraps a body into the full response object:

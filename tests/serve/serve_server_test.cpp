@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -233,6 +234,66 @@ TEST(ServeServer, OversizedLengthPrefixGetsBadFrameThenClose)
 
     // After the error reply the server closes: the next read sees EOF.
     EXPECT_FALSE(client.recv_frame(payload));
+    server.stop();
+}
+
+/// A well-formed request of exactly kMaxFrameBytes: \p fields_head, then
+/// \p unit repeated to fill the frame (padded with 'x'), then `"}`.
+std::string
+full_frame_request(const std::string& fields_head, const std::string& unit)
+{
+    const std::string head =
+        std::string("{\"v\":\"") + serve::kProtocolVersion + "\"," +
+        fields_head;
+    const std::string tail = "\"}";
+    std::string request = head;
+    while (request.size() + unit.size() + tail.size() <=
+           serve::kMaxFrameBytes)
+        request += unit;
+    request.append(serve::kMaxFrameBytes - request.size() - tail.size(),
+                   'x');
+    return request + tail;
+}
+
+TEST(ServeServer, ErrorRepliesEchoingAFullFrameStillFitOneFrame)
+{
+    serve::Server server(loopback_options(1));
+    server.start();
+
+    // An unknown type of ~1 MiB of 'x' is echoed in the detail; a model
+    // name of '"' characters doubles when the detail escapes it.
+    const std::pair<std::string, const char*> cases[] = {
+        {full_frame_request("\"id\":7,\"type\":\"", "x"),
+         serve::kErrUnknownType},
+        {full_frame_request("\"id\":8,\"type\":\"eval_design_point\","
+                            "\"model\":\"",
+                            "\\\""),
+         serve::kErrBadRequest},
+    };
+    for (const auto& [request, code] : cases) {
+        SCOPED_TRACE(code);
+        ASSERT_EQ(request.size(), serve::kMaxFrameBytes);
+        {
+            serve::Client client = connect_to(server);
+            ASSERT_TRUE(client.send_frame(request));
+            std::string payload;
+            ASSERT_TRUE(client.recv_frame(payload));
+            serve::Response response;
+            ASSERT_TRUE(serve::parse_response(payload, response));
+            EXPECT_FALSE(response.ok);
+            EXPECT_EQ(response.error, code);
+            EXPECT_NE(response.detail.find(" more bytes]"),
+                      std::string::npos)
+                << response.detail.substr(0, 80);
+            EXPECT_LT(payload.size(), 8 * serve::kMaxErrorDetailBytes);
+        }
+        // The daemon is still up: a fresh connection is served.
+        serve::Client client = connect_to(server);
+        ASSERT_TRUE(client.send_frame(client.build_request("health", {})));
+        std::string payload;
+        ASSERT_TRUE(client.recv_frame(payload));
+        EXPECT_NE(payload.find("\"ok\":1"), std::string::npos) << payload;
+    }
     server.stop();
 }
 
