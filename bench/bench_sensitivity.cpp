@@ -34,7 +34,6 @@ run(const dnn::Model& model, const bench::Budget& budget,
     search::ExplorerOptions options = bench::make_options(budget, 777);
     options.capacitor_base.k_cap = 0.01 * k_cap_scale;
     options.pmic.discharge_efficiency = discharge_eff;
-    options.inner.seed = 1;
     core::ChrysalisInputs inputs{
         model, search::DesignSpace::existing_aut(),
         search::Objective{search::ObjectiveKind::kLatSp, 0.0, 0.0},

@@ -35,6 +35,72 @@ json_append_escaped(std::string& out, const std::string& text)
 
 namespace {
 
+/// Reads the four hex digits of a `\u` escape starting at \p at into
+/// \p code; false unless all four are there and are hex digits.
+bool
+read_hex4(const std::string& line, std::size_t at, std::uint32_t& code)
+{
+    if (at + 4 > line.size())
+        return false;
+    for (std::size_t i = at; i < at + 4; ++i) {
+        if (!std::isxdigit(static_cast<unsigned char>(line[i])))
+            return false;
+    }
+    code = static_cast<std::uint32_t>(
+        std::strtoul(line.substr(at, 4).c_str(), nullptr, 16));
+    return true;
+}
+
+/// Appends code point \p code (at most U+10FFFF) as UTF-8.
+void
+append_utf8(std::string& out, std::uint32_t code)
+{
+    const auto byte = [&](std::uint32_t bits) {
+        out += static_cast<char>(bits);
+    };
+    if (code < 0x80) {
+        byte(code);
+    } else if (code < 0x800) {
+        byte(0xC0 | (code >> 6));
+        byte(0x80 | (code & 0x3F));
+    } else if (code < 0x10000) {
+        byte(0xE0 | (code >> 12));
+        byte(0x80 | ((code >> 6) & 0x3F));
+        byte(0x80 | (code & 0x3F));
+    } else {
+        byte(0xF0 | (code >> 18));
+        byte(0x80 | ((code >> 12) & 0x3F));
+        byte(0x80 | ((code >> 6) & 0x3F));
+        byte(0x80 | (code & 0x3F));
+    }
+}
+
+/// Decodes the `\u` escape whose hex digits start at \p i, joining a
+/// high surrogate with the `\u` low surrogate that must follow it, and
+/// appends the code point to \p out as UTF-8; advances \p i past the
+/// escape. False on a malformed escape or a lone surrogate.
+bool
+decode_unicode_escape(const std::string& line, std::size_t& i,
+                      std::string& out)
+{
+    std::uint32_t code = 0;
+    if (!read_hex4(line, i, code))
+        return false;
+    i += 4;
+    if (code >= 0xDC00 && code <= 0xDFFF)
+        return false;  // a low surrogate with no high one before it
+    if (code >= 0xD800 && code <= 0xDBFF) {
+        std::uint32_t low = 0;
+        if (i + 2 > line.size() || line[i] != '\\' || line[i + 1] != 'u' ||
+            !read_hex4(line, i + 2, low) || low < 0xDC00 || low > 0xDFFF)
+            return false;
+        i += 6;
+        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, code);
+    return true;
+}
+
 /// Appends `"name":`, preceded by a separating comma unless \p out is
 /// empty or ends in '{'.
 void
@@ -91,14 +157,10 @@ scan_flat_json(const std::string& line, FlatJsonFields& fields)
                   case 'n': c = '\n'; break;
                   case 'r': c = '\r'; break;
                   case 't': c = '\t'; break;
-                  case 'u': {
-                    if (i + 4 > line.size())
+                  case 'u':
+                    if (!decode_unicode_escape(line, i, out))
                         return false;
-                    c = static_cast<char>(std::strtoul(
-                        line.substr(i, 4).c_str(), nullptr, 16));
-                    i += 4;
-                    break;
-                  }
+                    continue;
                   default: return false;
                 }
             }

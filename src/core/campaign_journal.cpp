@@ -69,12 +69,7 @@ campaign_case_key_hex(const CampaignCase& campaign_case,
         .add(outer.tournament_size)
         .add(outer.elitism)
         .add(outer.seed);
-    const search::MappingSearchOptions& inner = base.inner;
-    hash.add(static_cast<int>(inner.strategy))
-        .add(static_cast<std::uint64_t>(inner.max_candidates_per_dim))
-        .add(inner.ga_population)
-        .add(inner.ga_generations)
-        .add(inner.seed);
+    hash.add(static_cast<std::uint64_t>(base.inner.max_candidates_per_dim));
     hash.add_range(base.k_eh_envs);
     const auto& cap = base.capacitor_base;
     hash.add(cap.capacitance_f)

@@ -11,13 +11,10 @@ LayerCost
 analyze_layer(const dnn::Layer& layer, const LayerMapping& mapping,
               const CostParams& params)
 {
-    if (params.n_pe < 1)
-        fatal("analyze_layer: n_pe must be >= 1, got ", params.n_pe);
-    if (params.vm_bytes_per_pe < 1)
-        fatal("analyze_layer: vm_bytes_per_pe must be >= 1");
+    const HardwareTerms terms(params);  // checks the hardware first
     if (!mapping.valid_for(layer))
         fatal("analyze_layer: mapping invalid for layer ", layer.name);
-    return hardware_pass(geometry(layer, mapping), HardwareTerms(params));
+    return hardware_pass(geometry(layer, mapping), terms);
 }
 
 ModelCost

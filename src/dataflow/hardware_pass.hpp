@@ -179,7 +179,9 @@ geometry(const dnn::Layer& layer, const LayerMapping& mapping)
 }
 
 /// A hardware's CostParams plus the whole sub-expressions of Eqs. 4-6
-/// that read nothing else, built once per hardware.
+/// that read nothing else, built once per hardware. Every pass and
+/// ranking builds one, so the hardware is checked here: fatal() unless
+/// n_pe and vm_bytes_per_pe are both >= 1.
 struct HardwareTerms {
     explicit HardwareTerms(const CostParams& cost_params)
         : params(cost_params),
@@ -196,6 +198,11 @@ struct HardwareTerms {
           nvm_pair_energy_j(cost_params.e_nvm_read_byte_j +
                             cost_params.e_nvm_write_byte_j)
     {
+        if (cost_params.n_pe < 1)
+            fatal("cost model: n_pe must be >= 1, got ", cost_params.n_pe);
+        if (cost_params.vm_bytes_per_pe < 1)
+            fatal("cost model: vm_bytes_per_pe must be >= 1, got ",
+                  cost_params.vm_bytes_per_pe);
     }
 
     CostParams params;

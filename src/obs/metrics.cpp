@@ -213,14 +213,13 @@ MetricsRegistry::samples() const
     return samples;
 }
 
-std::string
-samples_to_json(std::vector<MetricSample> samples, ReportMode mode)
-{
-    std::sort(samples.begin(), samples.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                  return a.name < b.name;
-              });
+namespace {
 
+/// Serializes \p samples, name-sorted as MetricsRegistry::samples()
+/// returns them, as a `chrysalis-metrics-v1` document.
+std::string
+samples_to_json(const std::vector<MetricSample>& samples, ReportMode mode)
+{
     const auto write_group = [&](std::ostringstream& os,
                                  Stability stability, bool with_sums) {
         os << "{\"counters\":{";
@@ -280,6 +279,8 @@ samples_to_json(std::vector<MetricSample> samples, ReportMode mode)
     os << "}\n";
     return os.str();
 }
+
+}  // namespace
 
 double
 histogram_quantile(const std::vector<double>& bounds,

@@ -178,12 +178,6 @@ struct MetricSample {
     std::vector<std::uint64_t> counts;  ///< bounds.size()+1, last=overflow
 };
 
-/// Serializes \p samples as a `chrysalis-metrics-v1` document —
-/// byte-identical to MetricsRegistry::to_json() fed that registry's
-/// samples(). Sorts by name internally; names must be unique.
-std::string samples_to_json(std::vector<MetricSample> samples,
-                            ReportMode mode = ReportMode::kFull);
-
 /// The value at \p quantile (in [0,1]) of a fixed-bucket histogram,
 /// read from bucket counts: the inclusive upper edge of the bucket
 /// where the cumulative count reaches ceil(quantile * total). Returns
@@ -220,8 +214,7 @@ class MetricsRegistry
     std::string to_json(ReportMode mode = ReportMode::kFull) const;
 
     /// Point-in-time copies of every metric, name-sorted, for callers
-    /// that read values directly;
-    /// to_json(mode) == samples_to_json(samples(), mode).
+    /// that read values directly; to_json() serializes these copies.
     std::vector<MetricSample> samples() const;
 
     /// Writes to_json(mode) to \p path; fatal() when the file cannot be

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <ostream>
 
+#include "common/flat_json.hpp"
 #include "common/logging.hpp"
 
 namespace chrysalis::obs {
@@ -116,12 +117,6 @@ parse_trace_field(std::string_view text, TraceContext& out)
     return true;
 }
 
-TraceContext
-current_trace_context()
-{
-    return t_context;
-}
-
 ScopedTraceContext::ScopedTraceContext(const TraceContext& context)
     : previous_(t_context)
 {
@@ -227,31 +222,18 @@ TraceSession::merged() const
 
 namespace {
 
-/// Writes \p text with `"`/`\` escaped and control bytes blanked.
-void
-write_escaped_trace_string(std::ostream& out, std::string_view text)
-{
-    // Span names are code-controlled plus campaign labels; escape the
-    // JSON-significant characters so labels cannot tear the file.
-    for (const char c : text) {
-        if (c == '"' || c == '\\')
-            out << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out << ' ';
-        else
-            out << c;
-    }
-}
-
 /// Writes one event as a Chrome "X" (complete) JSON object — no
 /// surrounding comma.
 void
 write_chrome_event(std::ostream& out, const TraceEvent& event)
 {
+    // Span names are code-controlled plus campaign labels; escape them
+    // so a label cannot tear the file.
+    std::string name;
+    json_append_escaped(name, event.name);
     char buffer[64];
-    out << "{\"name\":\"";
-    write_escaped_trace_string(out, event.name);
-    out << "\",\"cat\":\"chrysalis\",\"ph\":\"X\",\"pid\":0"
+    out << "{\"name\":" << name
+        << ",\"cat\":\"chrysalis\",\"ph\":\"X\",\"pid\":0"
         << ",\"tid\":" << event.tid;
     std::snprintf(buffer, sizeof(buffer), "%.3f", event.start_us);
     out << ",\"ts\":" << buffer;

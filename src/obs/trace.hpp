@@ -71,9 +71,6 @@ std::string format_trace_field(const TraceContext& context);
 /// untouched) on malformed input.
 bool parse_trace_field(std::string_view text, TraceContext& out);
 
-/// The calling thread's current trace context (inactive by default).
-TraceContext current_trace_context();
-
 /// RAII: installs \p context as the calling thread's trace context and
 /// restores the previous one on destruction. Spans recorded while it
 /// is live are stamped with the context's trace_id.

@@ -53,12 +53,8 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
         .add(pmic.charge_efficiency)
         .add(pmic.discharge_efficiency)
         .add(pmic.quiescent_power_w);
-    const auto& inner = options_.inner;
-    context_hash_.add(static_cast<int>(inner.strategy))
-        .add(static_cast<std::uint64_t>(inner.max_candidates_per_dim))
-        .add(inner.ga_population)
-        .add(inner.ga_generations)
-        .add(inner.seed);
+    context_hash_.add(
+        static_cast<std::uint64_t>(options_.inner.max_candidates_per_dim));
     // Faulted and fault-free evaluations must never share a memo entry.
     context_hash_.add(options_.faults != nullptr);
     if (options_.faults != nullptr) {
@@ -71,17 +67,13 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
             options_.cache_capacity);
     }
 
-    if (options_.inner.strategy ==
-        MappingSearchOptions::Strategy::kExhaustive) {
-        OBS_SPAN("search/inner");
-        const std::size_t width = options_.inner.max_candidates_per_dim;
-        if (space_.fixes_hardware()) {
-            grid_.emplace(model_,
-                          *space_.clamp(space_.defaults).build_hardware(),
-                          width);
-        } else {
-            table_.emplace(model_, dataflow::all_dataflows(), width);
-        }
+    OBS_SPAN("search/inner");
+    const std::size_t width = options_.inner.max_candidates_per_dim;
+    if (space_.fixes_hardware()) {
+        grid_.emplace(model_, *space_.clamp(space_.defaults).build_hardware(),
+                      width);
+    } else {
+        table_.emplace(model_, dataflow::all_dataflows(), width);
     }
 }
 
@@ -139,17 +131,11 @@ BiLevelExplorer::evaluate(const HwCandidate& raw_candidate) const
     EvaluatedDesign design;
     design.candidate = space_.clamp(raw_candidate);
     const auto envs = environments(design.candidate);
-    if (grid_) {
-        OBS_SPAN("search/inner");
-        design.mapping = grid_->rank(envs);
-    } else if (table_) {
+    {
         OBS_SPAN("search/inner");
         design.mapping =
-            table_->rank(*design.candidate.build_hardware(), envs);
-    } else {
-        design.mapping = search_mappings(
-            model_, *design.candidate.build_hardware(), envs,
-            options_.inner);
+            grid_ ? grid_->rank(envs)
+                  : table_->rank(*design.candidate.build_hardware(), envs);
     }
 
     design.feasible = design.mapping.feasible;

@@ -82,9 +82,8 @@ struct ExplorationResult {
 
 /// Bi-level explorer: owns the workload, design space and objective.
 ///
-/// With the exhaustive inner strategy the constructor does the inner
-/// search's hardware-free work once, and every candidate gets exactly
-/// what search_mappings() returns for it:
+/// The constructor does the inner search's hardware-free work once, and
+/// every candidate gets exactly what search_mappings() returns for it:
 ///   - When the space fixes the inference hardware
 ///     (DesignSpace::fixes_hardware()), the constructor scores that
 ///     hardware's MappingGrid, and every candidate ranks the stored
@@ -92,8 +91,6 @@ struct ExplorationResult {
 ///   - Otherwise the constructor builds a GeometryTable over every
 ///     dataflow, and every candidate runs the hardware pass of its own
 ///     hardware over it, fused with the ranking.
-/// With the genetic inner strategy each candidate calls
-/// search_mappings().
 class BiLevelExplorer
 {
   public:
@@ -160,6 +157,7 @@ class BiLevelExplorer
     ExplorerOptions options_;
     StableHash context_hash_;  ///< premixed non-candidate inputs
     mutable std::unique_ptr<runtime::EvalCache<EvaluatedDesign>> cache_;
+    // The constructor sets exactly one of the two.
     std::optional<MappingGrid> grid_;     ///< fixed hardware
     std::optional<GeometryTable> table_;  ///< searched hardware
 };

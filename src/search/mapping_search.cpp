@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/rng.hpp"
 #include "dataflow/tiling.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -82,8 +81,8 @@ score_of(const dataflow::LayerCost& cost)
             cost.tile_energy_j(), cost.tile_time_s()};
 }
 
-/// What both strategies rank a candidate by, read from its
-/// CandidateScore under one set of Eq. 8 budgets.
+/// What a ranking orders candidates by, read from a CandidateScore
+/// under one set of Eq. 8 budgets.
 struct Score {
     double violation;
     double total_energy_j;
@@ -141,27 +140,6 @@ struct RunningBest {
     }
 };
 
-/// Takes \p mapping as the next layer's: \p cost joins the model cost,
-/// and an Eq. 8 violation fails the search.
-void
-take_layer(MappingSearchResult& result,
-           const dataflow::LayerMapping& mapping,
-           const dataflow::LayerCost& cost, double violation)
-{
-    if (violation > 0.0) {
-        result.feasible = false;
-        result.violation_j += std::isfinite(violation) ? violation : 1e6;
-        if (!result.failure) {
-            result.failure = fault::make_failure(
-                fault::FailureCode::kTileExceedsCycle,
-                "layer " + std::to_string(result.mappings.size()) +
-                    ": no mapping satisfies Eq. 8 in every environment");
-        }
-    }
-    result.mappings.push_back(mapping);
-    result.cost.add_layer(cost);
-}
-
 /// What one distinct shape's ranking chose for every layer of that
 /// shape.
 struct Choice {
@@ -173,7 +151,7 @@ struct Choice {
 
 /// The layers of a search whose shapes made the choices \p chosen: per
 /// layer, its shape's mapping and cost, and its grid's size in
-/// evaluations.
+/// evaluations. A layer that violates Eq. 8 fails the search.
 MappingSearchResult
 take_choices(const std::vector<Choice>& chosen,
              const std::vector<std::size_t>& layer_shape)
@@ -184,7 +162,19 @@ take_choices(const std::vector<Choice>& chosen,
     result.cost.layers.reserve(layer_shape.size());
     for (const std::size_t shape : layer_shape) {
         const Choice& choice = chosen[shape];
-        take_layer(result, choice.mapping, choice.cost, choice.violation);
+        if (choice.violation > 0.0) {
+            result.feasible = false;
+            result.violation_j +=
+                std::isfinite(choice.violation) ? choice.violation : 1e6;
+            if (!result.failure) {
+                result.failure = fault::make_failure(
+                    fault::FailureCode::kTileExceedsCycle,
+                    "layer " + std::to_string(result.mappings.size()) +
+                        ": no mapping satisfies Eq. 8 in every environment");
+            }
+        }
+        result.mappings.push_back(choice.mapping);
+        result.cost.add_layer(choice.cost);
         result.evaluations += choice.ranked;
     }
     return result;
@@ -244,102 +234,6 @@ supported_dataflows(const hw::InferenceHardware& hardware)
         panic("mapping search: ", hardware.name(),
               " supports no dataflows");
     return dataflows;
-}
-
-/// analyze_layer()'s checks on the hardware, made once per hardware
-/// before its pass runs.
-const dataflow::CostParams&
-checked(const dataflow::CostParams& params)
-{
-    if (params.n_pe < 1)
-        fatal("mapping search: n_pe must be >= 1, got ", params.n_pe);
-    if (params.vm_bytes_per_pe < 1)
-        fatal("mapping search: vm_bytes_per_pe must be >= 1");
-    return params;
-}
-
-/// One member of the genetic strategy's population.
-struct Individual {
-    dataflow::LayerMapping mapping;
-    dataflow::LayerCost cost;
-    Score score;
-};
-
-Individual
-search_layer_genetic(const dnn::Layer& layer,
-                     const std::vector<dataflow::Dataflow>& dataflows,
-                     const dataflow::CostParams& params, EnvBudgets& budgets,
-                     const MappingSearchOptions& options,
-                     std::int64_t& evaluations, Rng& rng)
-{
-    // GAMMA-style: individuals are (dataflow index, chunk-count exponents).
-    const auto random_mapping = [&]() {
-        dataflow::LayerMapping mapping;
-        mapping.dataflow = dataflows[static_cast<std::size_t>(
-            rng.uniform_int(0,
-                            static_cast<std::int64_t>(dataflows.size()) -
-                                1))];
-        mapping.tiles_k = rng.uniform_int(1, layer.dims.k);
-        mapping.tiles_y = rng.uniform_int(1, layer.dims.y);
-        mapping.tiles_n = rng.uniform_int(1, layer.dims.n);
-        return mapping;
-    };
-    const auto mutate = [&](dataflow::LayerMapping mapping) {
-        switch (rng.uniform_int(0, 3)) {
-          case 0:
-            mapping.dataflow = dataflows[static_cast<std::size_t>(
-                rng.uniform_int(
-                    0, static_cast<std::int64_t>(dataflows.size()) - 1))];
-            break;
-          case 1:
-            mapping.tiles_k = std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(
-                       std::llround(static_cast<double>(mapping.tiles_k) *
-                                    rng.uniform(0.5, 2.0))));
-            break;
-          case 2:
-            mapping.tiles_y = std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(
-                       std::llround(static_cast<double>(mapping.tiles_y) *
-                                    rng.uniform(0.5, 2.0))));
-            break;
-          default:
-            mapping.tiles_n = std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(
-                       std::llround(static_cast<double>(mapping.tiles_n) *
-                                    rng.uniform(0.5, 2.0))));
-            break;
-        }
-        mapping.clamp_to(layer);
-        return mapping;
-    };
-
-    const auto evaluate = [&](const dataflow::LayerMapping& mapping) {
-        const dataflow::LayerCost cost =
-            dataflow::analyze_layer(layer, mapping, params);
-        const Score score(score_of(cost), budgets);
-        ++evaluations;
-        return Individual{mapping, cost, score};
-    };
-
-    std::vector<Individual> population;
-    population.reserve(static_cast<std::size_t>(options.ga_population));
-    for (int i = 0; i < options.ga_population; ++i)
-        population.push_back(evaluate(random_mapping()));
-    const auto better = [](const Individual& a, const Individual& b) {
-        return a.score.better_than(b.score);
-    };
-    for (int gen = 1; gen < options.ga_generations; ++gen) {
-        std::sort(population.begin(), population.end(), better);
-        const std::size_t keep = population.size() / 2;
-        for (std::size_t i = keep; i < population.size(); ++i) {
-            const auto& parent =
-                population[static_cast<std::size_t>(rng.uniform_int(
-                    0, static_cast<std::int64_t>(keep) - 1))];
-            population[i] = evaluate(mutate(parent.mapping));
-        }
-    }
-    return *std::min_element(population.begin(), population.end(), better);
 }
 
 /// Calls \p add_shape(layer) for the first layer of each distinct
@@ -429,7 +323,7 @@ GeometryTable::rank(const hw::InferenceHardware& hardware,
     if (envs.empty())
         fatal("GeometryTable::rank: at least one energy environment "
               "required");
-    const dataflow::HardwareTerms terms(checked(hardware.cost_params()));
+    const dataflow::HardwareTerms terms(hardware.cost_params());
     const auto dataflows = supported_dataflows(hardware);
 
     // Rank each shape's grid once, in first-occurrence order and the
@@ -486,7 +380,7 @@ MappingGrid::MappingGrid(const dnn::Model& model,
       weight_bytes_(model.total_weight_bytes()),
       peak_activation_bytes_(model.peak_activation_bytes())
 {
-    const dataflow::HardwareTerms terms(checked(hardware.cost_params()));
+    const dataflow::HardwareTerms terms(hardware.cost_params());
     const auto dataflows = supported_dataflows(hardware);
     std::int64_t analyses = 0;
     layer_shape_ = distinct_shapes(model, [&](const dnn::Layer& layer) {
@@ -555,34 +449,9 @@ search_mappings(const dnn::Model& model,
     if (envs.empty())
         fatal("search_mappings: at least one energy environment required");
     OBS_SPAN("search/inner");
-    if (options.strategy == MappingSearchOptions::Strategy::kExhaustive) {
-        return GeometryTable(model, supported_dataflows(hardware),
-                             options.max_candidates_per_dim)
-            .rank(hardware, envs);
-    }
-
-    // The genetic strategy draws one RNG stream layer by layer, so it
-    // searches every layer, repeated shapes included.
-    const dataflow::CostParams params = hardware.cost_params();
-    const auto dataflows = supported_dataflows(hardware);
-    EnvBudgets budgets(envs);
-    Rng rng(options.seed);
-    MappingSearchResult result;
-    result.feasible = true;
-    result.mappings.reserve(model.layer_count());
-    result.cost.layers.reserve(model.layer_count());
-    for (std::size_t i = 0; i < model.layer_count(); ++i) {
-        const Individual best =
-            search_layer_genetic(model.layer(i), dataflows, params, budgets,
-                                 options, result.evaluations, rng);
-        take_layer(result, best.mapping, best.cost, best.score.violation);
-    }
-    check_nvm_capacity(result, hardware.nvm_capacity_bytes(),
-                       model.total_weight_bytes(),
-                       model.peak_activation_bytes());
-    publish_search(result.evaluations);
-    publish_analyses(result.evaluations);
-    return result;
+    return GeometryTable(model, supported_dataflows(hardware),
+                         options.max_candidates_per_dim)
+        .rank(hardware, envs);
 }
 
 }  // namespace chrysalis::search

@@ -10,9 +10,8 @@
 /// in *every* supplied environment (the paper requires the system to run
 /// in both the brighter and the darker environment).
 ///
-/// Two strategies are provided: bounded exhaustive enumeration per layer
-/// and a GAMMA-style per-layer genetic search for very large tiling
-/// spaces. The exhaustive strategy splits the cost model in two (see
+/// The search is exact: it ranks every candidate of a bounded tiling grid
+/// per layer. It splits the cost model in two (see
 /// dataflow/hardware_pass.hpp). A GeometryTable holds the hardware-free
 /// geometry of each distinct layer shape's tiling grid; ranking it runs
 /// the hardware pass of every candidate fused with Eq. 8 for one
@@ -39,13 +38,9 @@ namespace chrysalis::search {
 
 /// Controls for the SW-level search.
 struct MappingSearchOptions {
-    enum class Strategy { kExhaustive, kGenetic };
-
-    Strategy strategy = Strategy::kExhaustive;
-    std::size_t max_candidates_per_dim = 6;  ///< exhaustive bound
-    int ga_population = 16;                  ///< genetic strategy only
-    int ga_generations = 8;
-    std::uint64_t seed = 1;
+    /// Tiling grid width: chunk counts tried per loop dimension
+    /// (dataflow::enumerate_mappings()).
+    std::size_t max_candidates_per_dim = 6;
 };
 
 /// Result of the SW-level search.
@@ -74,9 +69,9 @@ struct CandidateScore {
     double tile_time_s = 0.0;     ///< LayerCost::tile_time_s()
 };
 
-/// The exhaustive strategy's hardware-free table for one (model, grid
-/// width, dataflow list): the dataflow::LayerGeometry of every candidate
-/// of every distinct layer shape (dnn::same_shape), in
+/// The search's hardware-free table for one (model, grid width,
+/// dataflow list): the dataflow::LayerGeometry of every candidate of
+/// every distinct layer shape (dnn::same_shape), in
 /// dataflow::enumerate_mappings() order, so one block of candidates per
 /// dataflow. Built once; each ranking runs only the hardware pass.
 ///
@@ -93,10 +88,10 @@ class GeometryTable
                   const std::vector<dataflow::Dataflow>& dataflows,
                   std::size_t max_candidates_per_dim);
 
-    /// search_mappings()'s exhaustive result for \p hardware against
-    /// \p envs: the hardware pass over every candidate of the hardware's
-    /// dataflows, walked in its supported_dataflows() order and counted
-    /// in `search/inner/analyses`, fused with the ranking. The table must
+    /// search_mappings()'s result for \p hardware against \p envs: the
+    /// hardware pass over every candidate of the hardware's dataflows,
+    /// walked in its supported_dataflows() order and counted in
+    /// `search/inner/analyses`, fused with the ranking. The table must
     /// hold each of those dataflows (panic() otherwise); \p envs must not
     /// be empty.
     MappingSearchResult rank(const hw::InferenceHardware& hardware,
@@ -120,10 +115,10 @@ class GeometryTable
     std::int64_t peak_activation_bytes_ = 0;
 };
 
-/// The exhaustive strategy's cost table for one fixed (model, hardware,
-/// grid width): the grid of every distinct layer shape over the
-/// hardware's dataflows, in GeometryTable order, with the hardware pass
-/// run once per candidate at construction. Per candidate the grid keeps
+/// The search's cost table for one fixed (model, hardware, grid width):
+/// the grid of every distinct layer shape over the hardware's dataflows,
+/// in GeometryTable order, with the hardware pass run once per candidate
+/// at construction. Per candidate the grid keeps
 /// the CandidateScore the ranking reads (40 B), and apart from it the
 /// mapping and LayerCost a chosen candidate contributes.
 ///
@@ -140,10 +135,10 @@ class MappingGrid
                 const hw::InferenceHardware& hardware,
                 std::size_t max_candidates_per_dim);
 
-    /// The exhaustive search's result against \p envs: per layer, the
-    /// candidate of its shape's grid that ranks first (feasible in every
-    /// environment, then lowest Eq. 8 violation, lowest E_all, fewest
-    /// tiles; among equals the first in enumeration order). Counts one
+    /// The search's result against \p envs: per layer, the candidate of
+    /// its shape's grid that ranks first (feasible in every environment,
+    /// then lowest Eq. 8 violation, lowest E_all, fewest tiles; among
+    /// equals the first in enumeration order). Counts one
     /// `search/inner/searches` and the grid's size per layer in
     /// `search/inner/evaluations`. \p envs must not be empty.
     MappingSearchResult rank(const std::vector<sim::EnergyEnv>& envs) const;
@@ -163,8 +158,8 @@ class MappingGrid
     std::int64_t peak_activation_bytes_ = 0;
 };
 
-/// Runs the SW-level mapping search. The exhaustive strategy builds a
-/// GeometryTable over the hardware's dataflows and ranks it.
+/// Runs the SW-level mapping search: builds a GeometryTable over the
+/// hardware's dataflows and ranks it once.
 /// \param envs environments the design must run in (feasibility must hold
 ///        in each; typically the brighter and darker presets).
 MappingSearchResult search_mappings(const dnn::Model& model,

@@ -149,7 +149,6 @@ parse_eval_request(const FlatJsonFields& fields)
     request.options.k_eh_envs = {bright, dark};
 
     const std::uint64_t seed = field_uint64(fields, "seed", 1);
-    request.options.inner.seed = seed;
     request.options.inner.max_candidates_per_dim =
         static_cast<std::size_t>(field_int64(
             fields, "mapping_candidates",

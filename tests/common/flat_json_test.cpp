@@ -102,6 +102,18 @@ TEST(FlatJson, ControlCharactersEscapeAndRoundTrip)
     FlatJsonFields fields;
     ASSERT_TRUE(scan_flat_json(object, fields));
     EXPECT_EQ(fields.at("v"), text);
+
+    // The writers emit \u only for bytes below 0x20; each decodes back
+    // to its one byte, NUL included.
+    std::string controls;
+    for (int c = 0; c < 0x20; ++c)
+        controls += static_cast<char>(c);
+    std::string control_object = "{";
+    json_append_field(control_object, "v", controls);
+    control_object += '}';
+    FlatJsonFields control_fields;
+    ASSERT_TRUE(scan_flat_json(control_object, control_fields));
+    EXPECT_EQ(control_fields.at("v"), controls);
 }
 
 TEST(FlatJson, WritersStartAnEmptyBufferWithoutAComma)
@@ -132,6 +144,49 @@ TEST(FlatJson, UnicodeEscapeDecodes)
     FlatJsonFields fields;
     ASSERT_TRUE(scan_flat_json(R"({"v":"A\u0009B"})", fields));
     EXPECT_EQ(fields.at("v"), "A\tB");
+}
+
+/// The value of field "v" in {"v":"<escaped>"}, scanned; "<rejected>"
+/// when the scan fails.
+std::string
+scan_value(const std::string& escaped)
+{
+    FlatJsonFields fields;
+    if (!scan_flat_json("{\"v\":\"" + escaped + "\"}", fields))
+        return "<rejected>";
+    return fields.at("v");
+}
+
+TEST(FlatJson, UnicodeEscapeDecodesToUtf8)
+{
+    // Every code point becomes its UTF-8 bytes, never its low byte.
+    EXPECT_EQ(scan_value(R"(\u00e9)"), "\xC3\xA9");
+    EXPECT_EQ(scan_value(R"(\u00C9)"), "\xC3\x89");
+    EXPECT_EQ(scan_value(R"(a\u4e2db)"), "a\xE4\xB8\xAD" "b");
+    EXPECT_EQ(scan_value(R"(k\u0177s)"), "k\xC5\xB7s");
+    EXPECT_EQ(scan_value(R"(\u007f\u0080\u07ff\u0800\uffff)"),
+              "\x7F\xC2\x80\xDF\xBF\xE0\xA0\x80\xEF\xBF\xBF");
+    // A surrogate pair is one code point, U+1F50B here.
+    EXPECT_EQ(scan_value(R"(\ud83d\udd0b)"), "\xF0\x9F\x94\x8B");
+    EXPECT_EQ(scan_value(R"(\udbff\udfff)"), "\xF4\x8F\xBF\xBF");
+}
+
+TEST(FlatJson, UnicodeEscapeWithoutFourHexDigitsIsRejected)
+{
+    for (const char* escaped :
+         {R"(k\uZZZZws)", R"(\u12)", R"(\u12g4)", R"(\u 123)", R"(\u+123)",
+          R"(\u-123)", R"(\u0x12)"}) {
+        EXPECT_EQ(scan_value(escaped), "<rejected>") << escaped;
+    }
+}
+
+TEST(FlatJson, LoneSurrogateIsRejected)
+{
+    for (const char* escaped :
+         {R"(\ud83d)", R"(\ud83dx)", R"(\ud83dA)", R"(\ud83d\ud83d)",
+          R"(\ud83d\n)", R"(\udd0b)", R"(x\udd0b\ud83d)"}) {
+        EXPECT_EQ(scan_value(escaped), "<rejected>") << escaped;
+    }
 }
 
 TEST(FlatJson, TornInputIsRejected)

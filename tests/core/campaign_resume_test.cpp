@@ -211,6 +211,27 @@ TEST(CampaignResumeTest, StaleJournalFromDifferentOptionsIsIgnored)
     EXPECT_EQ(rerun.journal_skips, 0u);
 }
 
+TEST(CampaignJournalTest, CaseKeyIsHexAndCoversTheGridWidth)
+{
+    const CampaignCase campaign_case = two_cases().front();
+    search::ExplorerOptions wide = small_options();
+    wide.inner.max_candidates_per_dim = 6;
+    const std::string narrow_key =
+        campaign_case_key_hex(campaign_case, small_options(), 0);
+    const std::string wide_key =
+        campaign_case_key_hex(campaign_case, wide, 0);
+    for (const std::string& key : {narrow_key, wide_key}) {
+        ASSERT_EQ(key.size(), 32u) << key;
+        EXPECT_EQ(key.find_first_not_of("0123456789abcdef"),
+                  std::string::npos)
+            << key;
+    }
+    EXPECT_EQ(narrow_key,
+              campaign_case_key_hex(campaign_case, small_options(), 0));
+    // A journal written at another grid width must be recomputed.
+    EXPECT_NE(narrow_key, wide_key);
+}
+
 TEST(CampaignIsolationTest, CrashingCasesAreRecordedNotFatal)
 {
     // An empty environment list makes every case's explorer fatal();

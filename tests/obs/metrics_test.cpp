@@ -241,17 +241,24 @@ TEST(HistogramQuantileTest, MatchesServerStatsUsage)
     EXPECT_GE(p100, 5.0);
 }
 
-TEST(SamplesTest, SamplesToJsonMatchesRegistryReport)
+TEST(SamplesTest, CopiesEveryMetricInNameOrder)
 {
     MetricsRegistry registry;
-    registry.counter("a/count").add(4);
-    registry.gauge("b/level").set(2.5);
     registry.histogram("c/lat", {1.0, 2.0}).record(1.5);
-    EXPECT_EQ(samples_to_json(registry.samples(), ReportMode::kFull),
-              registry.to_json(ReportMode::kFull));
-    EXPECT_EQ(
-        samples_to_json(registry.samples(), ReportMode::kDeterministic),
-        registry.to_json(ReportMode::kDeterministic));
+    registry.gauge("b/level").set(2.5);
+    registry.counter("a/count").add(4);
+    const std::vector<MetricSample> samples = registry.samples();
+    ASSERT_EQ(samples.size(), 3u);
+    EXPECT_EQ(samples[0].name, "a/count");
+    EXPECT_EQ(samples[0].kind, MetricKind::kCounter);
+    EXPECT_EQ(samples[0].count, 4u);
+    EXPECT_EQ(samples[1].name, "b/level");
+    EXPECT_EQ(samples[1].kind, MetricKind::kGauge);
+    EXPECT_EQ(samples[1].value, 2.5);
+    EXPECT_EQ(samples[2].name, "c/lat");
+    EXPECT_EQ(samples[2].kind, MetricKind::kHistogram);
+    EXPECT_EQ(samples[2].count, 1u);
+    EXPECT_EQ(samples[2].counts, (std::vector<std::uint64_t>{0, 1, 0}));
 }
 
 TEST(ThreadCpuSecondsTest, MonotonicOnThisThread)

@@ -120,6 +120,7 @@ TEST(TraceSessionTest, ChromeTraceJsonShape)
         ScopedTrace scope(session);
         OBS_SPAN("outer \"quoted\"");
         OBS_SPAN("inner");
+        OBS_SPAN("control\x01" "byte");
     }
     std::ostringstream os;
     session.write_chrome_trace(os);
@@ -131,8 +132,10 @@ TEST(TraceSessionTest, ChromeTraceJsonShape)
     EXPECT_NE(json.find("\"tid\":"), std::string::npos);
     EXPECT_NE(json.find("\"ts\":"), std::string::npos);
     EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-    // The quote in the span name must be escaped.
+    // The quote in the span name must be escaped, and a control byte
+    // written as a JSON escape.
     EXPECT_NE(json.find("outer \\\"quoted\\\""), std::string::npos);
+    EXPECT_NE(json.find("control\\u0001byte"), std::string::npos) << json;
 }
 
 TEST(TraceSessionTest, DestructorDetachesItself)

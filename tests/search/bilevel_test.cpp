@@ -301,23 +301,28 @@ TEST(BiLevelGridTest, ExploreAnalyzesTheGridOnce)
               334u * searches);
 }
 
-TEST(BiLevelGridTest, GeneticInnerStrategyBuildsNoGrid)
+TEST(BiLevelKeyTest, GridWidthIsPartOfTheMemoKey)
 {
-    ExplorerOptions options = small_options(5);
-    options.inner.strategy = MappingSearchOptions::Strategy::kGenetic;
-    obs::MetricsRegistry registry;
-    {
-        obs::ScopedMetrics scope(registry);
-        const BiLevelExplorer explorer(
-            dnn::make_simple_conv(), DesignSpace::existing_aut(),
-            {ObjectiveKind::kLatSp, 0.0, 0.0}, options);
-        explorer.explore();
-    }
-    const std::uint64_t evaluations =
-        registry.counter("search/inner/evaluations").value();
-    EXPECT_GT(evaluations, 0u);
-    EXPECT_EQ(registry.counter("search/inner/analyses").value(),
-              evaluations);
+    // Explorers that differ only in the inner grid width rank different
+    // candidate sets, so they must not share memo entries; equal
+    // options give equal keys across instances.
+    const Objective objective{ObjectiveKind::kLatSp, 0.0, 0.0};
+    ExplorerOptions wide = small_options();
+    wide.inner.max_candidates_per_dim = 6;
+    const BiLevelExplorer narrow(dnn::make_simple_conv(),
+                                 DesignSpace::existing_aut(), objective,
+                                 small_options());
+    const BiLevelExplorer narrow_again(dnn::make_simple_conv(),
+                                       DesignSpace::existing_aut(),
+                                       objective, small_options());
+    const BiLevelExplorer widened(dnn::make_simple_conv(),
+                                  DesignSpace::existing_aut(), objective,
+                                  wide);
+    const HwCandidate candidate = narrow.space().defaults;
+    EXPECT_TRUE(narrow.candidate_key(candidate) ==
+                narrow_again.candidate_key(candidate));
+    EXPECT_FALSE(narrow.candidate_key(candidate) ==
+                 widened.candidate_key(candidate));
 }
 
 TEST(BiLevelDeathTest, EmptyEnvironmentsAreFatal)

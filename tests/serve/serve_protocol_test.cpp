@@ -212,6 +212,27 @@ TEST(Handlers, CacheKeyIgnoresIdButNotParameters)
     EXPECT_NE(serve::request_cache_key(a), serve::request_cache_key(c));
 }
 
+TEST(Handlers, EscapedModelNameIsDecodedNotTruncated)
+{
+    // The escape spells U+0177, not a byte: the model "k\u0177s" does
+    // not exist, and its request must not share the memo key of "kws".
+    const std::string line =
+        std::string(R"({"v":")") + serve::kProtocolVersion +
+        R"(","id":7,"type":"eval_design_point","model":"k\u0177s"})";
+    FlatJsonFields escaped;
+    ASSERT_TRUE(scan_flat_json(line, escaped));
+    EXPECT_EQ(escaped.at("model"), "k\xC5\xB7s");
+    FlatJsonFields plain = base_request("eval_design_point");
+    plain["model"] = "kws";
+    EXPECT_NE(serve::request_cache_key(escaped),
+              serve::request_cache_key(plain));
+
+    serve::ServerStatsSnapshot stats;
+    const std::string body =
+        serve::handle_request_body(escaped, nullptr, stats);
+    EXPECT_NE(body.find(serve::kErrBadRequest), std::string::npos) << body;
+}
+
 TEST(Handlers, ResponseCacheServesRepeatsWithoutRecompute)
 {
     serve::ServerStatsSnapshot stats;
