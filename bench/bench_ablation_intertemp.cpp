@@ -117,6 +117,8 @@ main()
         }
     }
     table.print(std::cout);
+    bench::headline("searched_wins", searched_wins);
+    bench::headline("comparisons", comparisons);
     std::cout << "\nSearched tiling dominates both fixed policies in "
               << searched_wins << "/" << comparisons
               << " feasible configurations.\n"

@@ -8,6 +8,7 @@
 /// more than the harvester supplies and the system becomes *unavailable*
 /// ("Unavailability due to leakage current" in the paper's annotation).
 
+#include <algorithm>
 #include <iostream>
 
 #include "common/bench_util.hpp"
@@ -38,6 +39,8 @@ main()
                      "Inferences/hour", "Status"});
     for (const char* app : apps) {
         const dnn::Model model = dnn::make_model(app);
+        double peak_per_hour = 0.0;
+        int unavailable = 0;
         for (double cap : caps_f) {
             sim::EnergyEnv env;
             env.p_eh_w = kPanelCm2 * kKeh;
@@ -54,13 +57,15 @@ main()
             std::string throughput = "-";
             std::string ckpt_frac = "-";
             if (!eval.feasible) {
-                status = eval.failure.code ==
-                                 fault::FailureCode::kLeakageDominates
-                             ? "UNAVAILABLE (leakage)"
-                             : "infeasible";
+                const bool leaks = eval.failure.code ==
+                                   fault::FailureCode::kLeakageDominates;
+                status = leaks ? "UNAVAILABLE (leakage)" : "infeasible";
+                unavailable += leaks ? 1 : 0;
             } else {
+                const double per_hour = 3600.0 / eval.latency_s;
+                peak_per_hour = std::max(peak_per_hour, per_hour);
                 latency = format_si(eval.latency_s, "s");
-                throughput = format_fixed(3600.0 / eval.latency_s, 1);
+                throughput = format_fixed(per_hour, 1);
                 ckpt_frac = format_percent(
                     mapping.cost.e_ckpt_j /
                     mapping.cost.total_energy_j());
@@ -69,6 +74,10 @@ main()
                            std::to_string(mapping.cost.n_tile),
                            ckpt_frac, latency, throughput, status});
         }
+        bench::headline(std::string("peak_inferences_per_hour/") + app,
+                        peak_per_hour);
+        bench::headline(std::string("unavailable_caps/") + app,
+                        unavailable);
     }
     table.print(std::cout);
     std::cout << "\nShape check: throughput peaks at mid-range capacitors;"

@@ -85,6 +85,10 @@ main()
         }
         table.print(std::cout);
         std::cout << "(* preferable panel by lat*sp)\n";
+        if (best_panel > 0.0) {
+            bench::headline("best_panel_cm2/" + name, best_panel);
+            bench::headline("best_lat_sp/" + name, best_latsp);
+        }
     }
 
     std::cout << "\nShape check: checkpoint energy shrinks as the panel "

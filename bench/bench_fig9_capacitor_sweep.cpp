@@ -40,6 +40,7 @@ main()
 
         double best_latency = 1e300;
         std::size_t best_index = 0;
+        double best_cap = 0.0;
         std::vector<std::vector<std::string>> rows;
         for (double cap : caps_f) {
             sim::EnergyEnv env;
@@ -62,6 +63,7 @@ main()
             if (eval.latency_s < best_latency) {
                 best_latency = eval.latency_s;
                 best_index = rows.size();
+                best_cap = cap;
             }
             rows.push_back({format_si(cap, "F", 0),
                             std::to_string(mapping.cost.n_tile),
@@ -77,6 +79,10 @@ main()
         }
         table.print(std::cout);
         std::cout << "(* preferable capacitor by latency)\n";
+        if (best_cap > 0.0) {
+            bench::headline("best_capacitance_f/" + name, best_cap);
+            bench::headline("best_latency_s/" + name, best_latency);
+        }
     }
 
     std::cout << "\nShape check: checkpoint energy decreases and leakage "

@@ -64,17 +64,10 @@ bool
 parse_args(int argc, char** argv, LoadOptions& options)
 {
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
         std::string inline_value;
         bool has_inline = false;
-        if (arg.rfind("--", 0) == 0) {
-            const auto eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_inline = true;
-            }
-        }
+        const std::string arg =
+            split_flag(argv[i], inline_value, has_inline);
         const auto next = [&]() -> std::string {
             if (has_inline)
                 return inline_value;
@@ -85,15 +78,15 @@ parse_args(int argc, char** argv, LoadOptions& options)
         if (arg == "--host") {
             options.host = next();
         } else if (arg == "--port") {
-            options.port = std::stoi(next());
+            options.port = parse_int_flag(arg, next());
         } else if (arg == "--requests") {
-            options.requests = std::stoi(next());
+            options.requests = parse_int_flag(arg, next());
         } else if (arg == "--clients") {
-            options.clients = std::stoi(next());
+            options.clients = parse_int_flag(arg, next());
         } else if (arg == "--threads") {
-            options.threads = std::stoi(next());
+            options.threads = parse_int_flag(arg, next());
         } else if (arg == "--seed") {
-            options.seed = std::stoull(next());
+            options.seed = parse_uint64_flag(arg, next());
         } else if (arg == "--no-verify") {
             options.verify = false;
         } else if (arg == "--help" || arg == "-h") {

@@ -5,42 +5,54 @@
 /// Usage:
 ///   chrysalis_cli serve [serve options]   run the evaluation daemon
 ///   chrysalis_cli call [call options]     send one serve-v1 request
-///   chrysalis_cli campaign [options]      run a campaign (with
-///                                         --deterministic, the same
-///                                         bytes at any --threads)
-///   chrysalis_cli [options]
+///   chrysalis_cli campaign [options]      run an n-case campaign
+///                                         (objectives cycle
+///                                         latsp/lat/sp) and print the
+///                                         campaign CSV
+///   chrysalis_cli [options]               search one design
+///
+/// Options of both the campaign and the single-design search:
 ///     --model <zoo-name|path.model>   workload (default: kws). A path is
 ///                                     parsed with dnn::load_model.
 ///     --space <existing|future>       design space (default: existing)
-///     --objective <lat|sp|latsp>      objective pi (default: latsp)
-///     --sp-limit <cm2>                panel budget for --objective lat
-///     --lat-limit <s>                 deadline for --objective sp
+///     --sp-limit <cm2>                panel budget for the lat objective
+///     --lat-limit <s>                 deadline for the sp objective
 ///     --population <n> --generations <n>   GA budget
 ///     --seed <n>                      search seed
 ///     --bright <W/cm2> --dark <W/cm2> environment coefficients
-///     --pareto                        run NSGA-II and print the front
-///     --validate                      step-simulate the chosen design
-///     --csv                           machine-readable summary line
-///     --campaign <n>                  run an n-case campaign (objectives
-///                                     cycle lat/sp/latsp) and print the
-///                                     campaign CSV
-///     --threads <n>                   campaign case fan-out (0 = all)
-///     --metrics-out <file>            write a metrics JSON report
-///     --trace-out <file>              write a Chrome trace-event JSON
 ///     --fault-dropout <p>             harvester dropout probability
 ///     --fault-age <years>             capacitor mission age
 ///     --fault-ckpt <p>                checkpoint corruption rate
+///     --validate                      step-simulate the chosen design
+///                                     (campaign: the first feasible case)
+///     --metrics-out <file>            write a metrics JSON report
+///     --trace-out <file>              write a Chrome trace-event JSON
+///
+/// Single-design search only:
+///     --objective <lat|sp|latsp>      objective pi (default: latsp)
+///     --pareto                        run NSGA-II and print the front
+///     --csv                           machine-readable summary line
+///
+/// Campaign only:
+///     --cases <n>                     number of cases (default: 6)
+///     --threads <n>                   case fan-out (0 = all); each
+///                                     case's search runs serially, so
+///                                     the output is the same at any n
+///     --journal <file>                resume journal (JSONL)
+///     --deterministic                 drop the wall_time_s CSV column and
+///                                     zero journal wall times
 ///
 /// Options also accept the --key=value form.
 ///
 /// Examples:
 ///   chrysalis_cli --model har --objective sp --lat-limit 30
 ///   chrysalis_cli --model my_net.model --space future --pareto
-///   chrysalis_cli --campaign 6 --fault-dropout 0.3
+///   chrysalis_cli campaign --cases 6 --fault-dropout 0.3
 ///       --metrics-out metrics.json --trace-out trace.json
 
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -63,28 +75,66 @@ namespace {
 
 using namespace chrysalis;
 
-struct CliOptions {
-    std::string model = "kws";
-    std::string space = "existing";
-    std::string objective = "latsp";
-    double sp_limit = 20.0;
-    double lat_limit = 10.0;
-    int population = 24;
-    int generations = 16;
-    std::uint64_t seed = 1;
-    double bright = 2.0e-3;
-    double dark = 0.5e-3;
-    bool pareto = false;
+/// What the campaign and the single-design search both read: the
+/// campaign spec's result-shaping fields, --validate and the report
+/// files.
+struct SharedOptions {
+    core::CampaignSpec spec;
     bool validate = false;
-    bool csv = false;
-    int campaign = 0;  ///< 0 = single-solution mode
-    int threads = 1;
     std::string metrics_out;
     std::string trace_out;
-    double fault_dropout = 0.0;
-    double fault_age = 0.0;
-    double fault_ckpt = 0.0;
 };
+
+struct CliOptions {
+    SharedOptions shared;
+    std::string objective = "latsp";
+    bool pareto = false;
+    bool csv = false;
+};
+
+/// Parses \p arg, taking its value from \p next, when it is one of the
+/// flags in SharedOptions; false for any other flag.
+bool
+parse_shared_flag(const std::string& arg,
+                  const std::function<std::string()>& next,
+                  SharedOptions& options)
+{
+    core::CampaignSpec& spec = options.spec;
+    if (arg == "--model") {
+        spec.model = next();
+    } else if (arg == "--space") {
+        spec.space = next();
+    } else if (arg == "--sp-limit") {
+        spec.sp_limit_cm2 = parse_double_flag(arg, next());
+    } else if (arg == "--lat-limit") {
+        spec.lat_limit_s = parse_double_flag(arg, next());
+    } else if (arg == "--population") {
+        spec.population = parse_int_flag(arg, next());
+    } else if (arg == "--generations") {
+        spec.generations = parse_int_flag(arg, next());
+    } else if (arg == "--seed") {
+        spec.seed = parse_uint64_flag(arg, next());
+    } else if (arg == "--bright") {
+        spec.bright_w_cm2 = parse_double_flag(arg, next());
+    } else if (arg == "--dark") {
+        spec.dark_w_cm2 = parse_double_flag(arg, next());
+    } else if (arg == "--fault-dropout") {
+        spec.fault_dropout = parse_double_flag(arg, next());
+    } else if (arg == "--fault-age") {
+        spec.fault_age_years = parse_double_flag(arg, next());
+    } else if (arg == "--fault-ckpt") {
+        spec.fault_ckpt = parse_double_flag(arg, next());
+    } else if (arg == "--validate") {
+        options.validate = true;
+    } else if (arg == "--metrics-out") {
+        options.metrics_out = next();
+    } else if (arg == "--trace-out") {
+        options.trace_out = next();
+    } else {
+        return false;
+    }
+    return true;
+}
 
 void
 usage(const char* argv0)
@@ -95,30 +145,21 @@ usage(const char* argv0)
         "          [--lat-limit s] [--population n] [--generations n]\n"
         "          [--seed n] [--bright W/cm2] [--dark W/cm2]\n"
         "          [--pareto] [--validate] [--csv]\n"
-        "          [--campaign n] [--threads n]\n"
         "          [--metrics-out file] [--trace-out file]\n"
         "          [--fault-dropout p] [--fault-age years]\n"
-        "          [--fault-ckpt p]\n",
-        argv0);
+        "          [--fault-ckpt p]\n"
+        "       %s campaign --help | serve --help | call --help\n",
+        argv0, argv0);
 }
 
 bool
 parse_args(int argc, char** argv, CliOptions& options)
 {
     for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        // Split the --key=value form so every option accepts both
-        // spellings.
         std::string inline_value;
         bool has_inline = false;
-        if (arg.rfind("--", 0) == 0) {
-            const auto eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_inline = true;
-            }
-        }
+        const std::string arg =
+            split_flag(argv[i], inline_value, has_inline);
         const auto next = [&]() -> std::string {
             if (has_inline)
                 return inline_value;
@@ -126,46 +167,14 @@ parse_args(int argc, char** argv, CliOptions& options)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
-        if (arg == "--model") {
-            options.model = next();
-        } else if (arg == "--space") {
-            options.space = next();
-        } else if (arg == "--objective") {
+        if (parse_shared_flag(arg, next, options.shared))
+            continue;
+        if (arg == "--objective") {
             options.objective = next();
-        } else if (arg == "--sp-limit") {
-            options.sp_limit = std::stod(next());
-        } else if (arg == "--lat-limit") {
-            options.lat_limit = std::stod(next());
-        } else if (arg == "--population") {
-            options.population = std::stoi(next());
-        } else if (arg == "--generations") {
-            options.generations = std::stoi(next());
-        } else if (arg == "--seed") {
-            options.seed = std::stoull(next());
-        } else if (arg == "--bright") {
-            options.bright = std::stod(next());
-        } else if (arg == "--dark") {
-            options.dark = std::stod(next());
         } else if (arg == "--pareto") {
             options.pareto = true;
-        } else if (arg == "--validate") {
-            options.validate = true;
         } else if (arg == "--csv") {
             options.csv = true;
-        } else if (arg == "--campaign") {
-            options.campaign = std::stoi(next());
-        } else if (arg == "--threads") {
-            options.threads = std::stoi(next());
-        } else if (arg == "--metrics-out") {
-            options.metrics_out = next();
-        } else if (arg == "--trace-out") {
-            options.trace_out = next();
-        } else if (arg == "--fault-dropout") {
-            options.fault_dropout = std::stod(next());
-        } else if (arg == "--fault-age") {
-            options.fault_age = std::stod(next());
-        } else if (arg == "--fault-ckpt") {
-            options.fault_ckpt = std::stod(next());
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return false;
@@ -175,6 +184,7 @@ parse_args(int argc, char** argv, CliOptions& options)
             return false;
         }
     }
+    options.shared.spec.validate();
     return true;
 }
 
@@ -188,117 +198,43 @@ resolve_model(const std::string& spec)
     return dnn::make_model(spec);
 }
 
-search::Objective
-resolve_objective(const CliOptions& options, const std::string& kind)
-{
-    const std::string key = to_lower(kind);
-    if (key == "lat") {
-        return {search::ObjectiveKind::kLatency, options.sp_limit, 0.0};
-    }
-    if (key == "sp") {
-        return {search::ObjectiveKind::kSolarPanel, 0.0,
-                options.lat_limit};
-    }
-    if (key == "latsp" || key == "lat*sp")
-        return {search::ObjectiveKind::kLatSp, 0.0, 0.0};
-    fatal("unknown objective '", kind, "'");
-}
-
-/// Fault injector from the --fault-* flags, or nullptr when none is set.
-std::unique_ptr<fault::FaultInjector>
-resolve_faults(const CliOptions& options)
-{
-    if (options.fault_dropout <= 0.0 && options.fault_age <= 0.0 &&
-        options.fault_ckpt <= 0.0) {
-        return nullptr;
-    }
-    fault::FaultSpec spec;
-    spec.seed = options.seed;
-    spec.dropout_probability = options.fault_dropout;
-    spec.mission_age_years = options.fault_age;
-    spec.ckpt_corruption_rate = options.fault_ckpt;
-    return std::make_unique<fault::FaultInjector>(spec);
-}
-
-/// Runs an n-case campaign over the selected workload, the objectives
-/// cycling lat/sp/latsp, and prints the campaign CSV. With --validate
-/// the first feasible solution is also replayed on the step simulator.
+/// Runs \p work with the sinks that --metrics-out / --trace-out ask for
+/// attached, then detaches them (quiescent) and writes the reports.
 int
-run_campaign_mode(const CliOptions& options,
-                  const core::ChrysalisInputs& base)
+run_with_reports(const SharedOptions& options,
+                 const std::function<int()>& work)
 {
-    static const char* const kKinds[] = {"latsp", "lat", "sp"};
-    std::vector<core::CampaignCase> cases;
-    cases.reserve(static_cast<std::size_t>(options.campaign));
-    for (int i = 0; i < options.campaign; ++i) {
-        const char* kind = kKinds[static_cast<std::size_t>(i) % 3];
-        cases.push_back({base.model.name() + "-" + kind + "-" +
-                             std::to_string(i),
-                         base.model, base.space,
-                         resolve_objective(options, kind)});
-    }
+    obs::MetricsRegistry registry;
+    obs::TraceSession trace_session;
+    if (!options.metrics_out.empty())
+        obs::attach_metrics(&registry);
+    if (!options.trace_out.empty())
+        obs::attach_trace(&trace_session);
 
-    core::CampaignOptions campaign_options;
-    campaign_options.threads = options.threads;
-    const core::CampaignResult result =
-        core::run_campaign(cases, base.options, campaign_options);
-    result.write_csv(std::cout);
+    const int exit_code = work();
 
-    if (options.validate) {
-        for (std::size_t i = 0; i < result.entries.size(); ++i) {
-            const auto& entry = result.entries[i];
-            if (!entry.solution.feasible)
-                continue;
-            core::ChrysalisInputs case_inputs{cases[i].model,
-                                              cases[i].space,
-                                              cases[i].objective,
-                                              base.options};
-            const core::Chrysalis case_tool(std::move(case_inputs));
-            const auto validation =
-                case_tool.validate(entry.solution, options.bright);
-            std::printf("# validated %s: sim %s vs analytic %s "
-                        "(error %s)\n",
-                        entry.label.c_str(),
-                        format_si(validation.mean_sim_latency_s, "s")
-                            .c_str(),
-                        format_si(validation.analytic_latency_s, "s")
-                            .c_str(),
-                        format_percent(validation.relative_error)
-                            .c_str());
-            break;  // one replay covers the simulator counters
-        }
-    }
-
-    for (const auto& entry : result.entries) {
-        if (entry.solution.feasible)
-            return 0;
-    }
-    return 1;
+    obs::attach_metrics(nullptr);
+    obs::attach_trace(nullptr);
+    if (!options.metrics_out.empty())
+        registry.write_json_file(options.metrics_out);
+    if (!options.trace_out.empty())
+        trace_session.write_chrome_trace_file(options.trace_out);
+    return exit_code;
 }
 
 int
 run_cli(const CliOptions& options)
 {
-    const std::unique_ptr<fault::FaultInjector> faults =
-        resolve_faults(options);
-
+    const core::CampaignSpec& spec = options.shared.spec;
+    std::unique_ptr<fault::FaultInjector> faults;
     core::ChrysalisInputs inputs{
-        resolve_model(options.model),
-        to_lower(options.space) == "future"
+        resolve_model(spec.model),
+        to_lower(spec.space) == "future"
             ? search::DesignSpace::future_aut()
             : search::DesignSpace::existing_aut(),
-        resolve_objective(options, options.objective),
-        search::ExplorerOptions{},
+        core::campaign_objective(spec, options.objective),
+        core::build_explorer_options(spec, faults),
     };
-    inputs.options.outer.population = options.population;
-    inputs.options.outer.generations = options.generations;
-    inputs.options.outer.seed = options.seed;
-    inputs.options.k_eh_envs = {options.bright, options.dark};
-    inputs.options.faults = faults.get();
-
-    if (options.campaign > 0)
-        return run_campaign_mode(options, inputs);
-
     const core::Chrysalis tool(std::move(inputs));
 
     if (options.pareto) {
@@ -342,9 +278,9 @@ run_cli(const CliOptions& options)
                     solution.describe(tool.inputs().model).c_str());
     }
 
-    if (options.validate) {
+    if (options.shared.validate) {
         const auto validation =
-            tool.validate(solution, options.bright);
+            tool.validate(solution, spec.bright_w_cm2);
         if (!validation.sim.completed) {
             std::fprintf(stderr, "validation failed: %s\n",
                          validation.sim.failure.message().c_str());
@@ -364,44 +300,64 @@ void
 campaign_usage(const char* argv0)
 {
     std::printf(
-        "usage: %s campaign [--model zoo-name] [--space existing|future]\n"
+        "usage: %s campaign [--model <zoo|file.model>]\n"
+        "          [--space existing|future]\n"
         "          [--cases n] [--sp-limit cm2] [--lat-limit s]\n"
         "          [--population n] [--generations n] [--seed n]\n"
         "          [--bright W/cm2] [--dark W/cm2]\n"
         "          [--fault-dropout p] [--fault-age years]\n"
-        "          [--fault-ckpt p] [--max-attempts n] [--journal file]\n"
-        "          [--threads n] [--deterministic]\n"
+        "          [--fault-ckpt p] [--journal file]\n"
+        "          [--threads n] [--deterministic] [--validate]\n"
         "          [--metrics-out file] [--trace-out file]\n"
         "Runs a campaign (objectives cycling latsp/lat/sp) and prints\n"
         "the campaign CSV. --threads fans the cases out (each case's\n"
         "search runs serially), so the output is identical at any\n"
         "value. --deterministic drops the wall_time_s CSV column and\n"
         "zeroes journal wall times, making the CSV and the sorted\n"
-        "--journal byte-identical across runs and thread counts.\n",
+        "--journal byte-identical across runs and thread counts.\n"
+        "--validate replays the first feasible case on the step\n"
+        "simulator.\n",
         argv0);
+}
+
+/// Replays the first feasible entry of \p result on the step simulator
+/// in the brighter environment and prints one `# validated` line; one
+/// replay covers the simulator counters.
+void
+validate_first_feasible(const core::CampaignResult& result,
+                        const std::vector<core::CampaignCase>& cases,
+                        const search::ExplorerOptions& base,
+                        double bright_w_cm2)
+{
+    for (std::size_t i = 0; i < result.entries.size(); ++i) {
+        const auto& entry = result.entries[i];
+        if (!entry.solution.feasible)
+            continue;
+        const core::Chrysalis case_tool(core::ChrysalisInputs{
+            cases[i].model, cases[i].space, cases[i].objective, base});
+        const auto validation =
+            case_tool.validate(entry.solution, bright_w_cm2);
+        std::printf("# validated %s: sim %s vs analytic %s (error %s)\n",
+                    entry.label.c_str(),
+                    format_si(validation.mean_sim_latency_s, "s").c_str(),
+                    format_si(validation.analytic_latency_s, "s").c_str(),
+                    format_percent(validation.relative_error).c_str());
+        return;
+    }
 }
 
 int
 run_campaign_cli(int argc, char** argv, int first)
 {
-    core::CampaignSpec spec;
+    SharedOptions shared;
     std::string journal;
-    std::string metrics_out;
-    std::string trace_out;
     int threads = 1;
     bool deterministic = false;
     for (int i = first; i < argc; ++i) {
-        std::string arg = argv[i];
         std::string inline_value;
         bool has_inline = false;
-        if (arg.rfind("--", 0) == 0) {
-            const auto eq = arg.find('=');
-            if (eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_inline = true;
-            }
-        }
+        const std::string arg =
+            split_flag(argv[i], inline_value, has_inline);
         const auto next = [&]() -> std::string {
             if (has_inline)
                 return inline_value;
@@ -409,91 +365,53 @@ run_campaign_cli(int argc, char** argv, int first)
                 fatal("missing value for ", arg);
             return argv[++i];
         };
+        if (parse_shared_flag(arg, next, shared))
+            continue;
         if (arg == "--help" || arg == "-h") {
             campaign_usage(argv[0]);
             return 0;
-        } else if (arg == "--model") {
-            spec.model = next();
-        } else if (arg == "--space") {
-            spec.space = next();
         } else if (arg == "--cases") {
-            spec.cases = std::stoi(next());
-        } else if (arg == "--sp-limit") {
-            spec.sp_limit_cm2 = std::stod(next());
-        } else if (arg == "--lat-limit") {
-            spec.lat_limit_s = std::stod(next());
-        } else if (arg == "--population") {
-            spec.population = std::stoi(next());
-        } else if (arg == "--generations") {
-            spec.generations = std::stoi(next());
-        } else if (arg == "--seed") {
-            spec.seed = std::stoull(next());
-        } else if (arg == "--bright") {
-            spec.bright_w_cm2 = std::stod(next());
-        } else if (arg == "--dark") {
-            spec.dark_w_cm2 = std::stod(next());
-        } else if (arg == "--fault-dropout") {
-            spec.fault_dropout = std::stod(next());
-        } else if (arg == "--fault-age") {
-            spec.fault_age_years = std::stod(next());
-        } else if (arg == "--fault-ckpt") {
-            spec.fault_ckpt = std::stod(next());
-        } else if (arg == "--max-attempts") {
-            spec.max_attempts = std::stoi(next());
+            shared.spec.cases = parse_int_flag(arg, next());
         } else if (arg == "--journal") {
             journal = next();
         } else if (arg == "--threads") {
-            threads = std::stoi(next());
+            threads = parse_int_flag(arg, next());
         } else if (arg == "--deterministic") {
             deterministic = true;
-        } else if (arg == "--metrics-out") {
-            metrics_out = next();
-        } else if (arg == "--trace-out") {
-            trace_out = next();
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             campaign_usage(argv[0]);
             return 2;
         }
     }
+    const core::CampaignSpec& spec = shared.spec;
     spec.validate();
 
-    obs::MetricsRegistry registry;
-    obs::TraceSession trace_session;
-    if (!metrics_out.empty())
-        obs::attach_metrics(&registry);
-    if (!trace_out.empty())
-        obs::attach_trace(&trace_session);
+    return run_with_reports(shared, [&] {
+        const dnn::Model model = resolve_model(spec.model);
+        const std::vector<core::CampaignCase> cases =
+            core::build_campaign_cases(spec, model);
+        std::unique_ptr<fault::FaultInjector> faults;
+        const search::ExplorerOptions base =
+            core::build_explorer_options(spec, faults);
+        core::CampaignOptions campaign_options;
+        campaign_options.threads = threads;
+        campaign_options.journal_path = journal;
+        campaign_options.deterministic_journal = deterministic;
+        const core::CampaignResult result =
+            core::run_campaign(cases, base, campaign_options);
+        result.write_csv(std::cout, deterministic
+                                        ? core::CsvColumns::kDeterministic
+                                        : core::CsvColumns::kAll);
+        if (shared.validate)
+            validate_first_feasible(result, cases, base, spec.bright_w_cm2);
 
-    const dnn::Model model = dnn::make_model(spec.model);
-    const std::vector<core::CampaignCase> cases =
-        core::build_campaign_cases(spec, model);
-    std::unique_ptr<fault::FaultInjector> faults;
-    const search::ExplorerOptions base =
-        core::build_explorer_options(spec, faults);
-    core::CampaignOptions campaign_options;
-    campaign_options.threads = threads;
-    campaign_options.max_attempts = spec.max_attempts;
-    campaign_options.journal_path = journal;
-    campaign_options.deterministic_journal = deterministic;
-    const core::CampaignResult result =
-        core::run_campaign(cases, base, campaign_options);
-    result.write_csv(std::cout, deterministic
-                                    ? core::CsvColumns::kDeterministic
-                                    : core::CsvColumns::kAll);
-
-    obs::attach_metrics(nullptr);
-    obs::attach_trace(nullptr);
-    if (!metrics_out.empty())
-        registry.write_json_file(metrics_out);
-    if (!trace_out.empty())
-        trace_session.write_chrome_trace_file(trace_out);
-
-    for (const auto& entry : result.entries) {
-        if (entry.solution.feasible)
-            return 0;
-    }
-    return 1;
+        for (const auto& entry : result.entries) {
+            if (entry.solution.feasible)
+                return 0;
+        }
+        return 1;
+    });
 }
 
 }  // namespace
@@ -502,8 +420,8 @@ int
 main(int argc, char** argv)
 {
     // Subcommands: `serve` runs the evaluation daemon, `call` sends one
-    // chrysalis-serve-v1 request. Everything else is the classic
-    // flag-driven search front end.
+    // chrysalis-serve-v1 request, `campaign` runs a campaign. Everything
+    // else is the flag-driven single-design search.
     if (argc > 1 && std::strcmp(argv[1], "serve") == 0)
         return serve::run_serve_cli(argc, argv, 2);
     if (argc > 1 && std::strcmp(argv[1], "call") == 0)
@@ -514,23 +432,8 @@ main(int argc, char** argv)
     CliOptions options;
     if (!parse_args(argc, argv, options))
         return 2;
-
-    // Observability sinks live in main so they outlive all the work;
-    // attach before any search runs, detach (quiescent) before writing.
-    obs::MetricsRegistry registry;
-    obs::TraceSession trace_session;
-    if (!options.metrics_out.empty())
-        obs::attach_metrics(&registry);
-    if (!options.trace_out.empty())
-        obs::attach_trace(&trace_session);
-
-    const int exit_code = run_cli(options);
-
-    obs::attach_metrics(nullptr);
-    obs::attach_trace(nullptr);
-    if (!options.metrics_out.empty())
-        registry.write_json_file(options.metrics_out);
-    if (!options.trace_out.empty())
-        trace_session.write_chrome_trace_file(options.trace_out);
-    return exit_code;
+    // The observability sinks outlive all the work: attached before any
+    // search runs, detached before the reports are written.
+    return run_with_reports(options.shared,
+                            [&] { return run_cli(options); });
 }

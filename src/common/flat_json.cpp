@@ -154,6 +154,9 @@ scan_flat_json(const std::string& line, FlatJsonFields& fields)
                 switch (esc) {
                   case '"': c = '"'; break;
                   case '\\': c = '\\'; break;
+                  case '/': c = '/'; break;
+                  case 'b': c = '\b'; break;
+                  case 'f': c = '\f'; break;
                   case 'n': c = '\n'; break;
                   case 'r': c = '\r'; break;
                   case 't': c = '\t'; break;

@@ -47,8 +47,10 @@ void json_append_raw_field(std::string& out, const char* name,
 /// structural problem — torn line, unterminated string, trailing
 /// garbage inside the object, a `\u` escape without four hex digits or
 /// with a lone surrogate — leaving \p fields in an unspecified state.
-/// A `\u` escape decodes to its code point in UTF-8, a surrogate pair
-/// to one 4-byte sequence. Duplicate keys keep the first occurrence.
+/// Every RFC 8259 escape decodes: `\"`, `\\`, `\/`, `\b`, `\f`, `\n`,
+/// `\r` and `\t` to their one byte, a `\u` escape to its code point in
+/// UTF-8 and a surrogate pair to one 4-byte sequence; any other escape
+/// is rejected. Duplicate keys keep the first occurrence.
 bool scan_flat_json(const std::string& line, FlatJsonFields& fields);
 
 /// Field accessors: each returns true and writes \p out only when the

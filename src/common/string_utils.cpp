@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+
+#include "common/logging.hpp"
 
 namespace chrysalis {
 
@@ -110,6 +115,60 @@ to_lower(std::string_view text)
         return static_cast<char>(std::tolower(c));
     });
     return out;
+}
+
+std::string
+split_flag(const std::string& arg, std::string& inline_value,
+           bool& has_inline)
+{
+    has_inline = false;
+    if (arg.rfind("--", 0) != 0)
+        return arg;
+    const auto eq = arg.find('=');
+    if (eq == std::string::npos)
+        return arg;
+    inline_value = arg.substr(eq + 1);
+    has_inline = true;
+    return arg.substr(0, eq);
+}
+
+int
+parse_int_flag(const std::string& flag, const std::string& value)
+{
+    errno = 0;
+    char* end = nullptr;
+    const long parsed = std::strtol(value.c_str(), &end, 10);
+    if (end == value.c_str() || *end != '\0' || errno != 0 ||
+        parsed < INT_MIN || parsed > INT_MAX)
+        fatal("invalid integer for ", flag, ": \"", value, "\"");
+    return static_cast<int>(parsed);
+}
+
+std::uint64_t
+parse_uint64_flag(const std::string& flag, const std::string& value)
+{
+    // strtoull accepts a sign (and wraps "-1" to 2^64 - 1) and leading
+    // space; a size or a seed must start with a digit.
+    static_assert(ULLONG_MAX == UINT64_MAX);
+    const bool starts_with_digit =
+        !value.empty() && std::isdigit(static_cast<unsigned char>(value[0]));
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
+    if (!starts_with_digit || *end != '\0' || errno != 0)
+        fatal("invalid unsigned integer for ", flag, ": \"", value, "\"");
+    return parsed;
+}
+
+double
+parse_double_flag(const std::string& flag, const std::string& value)
+{
+    errno = 0;
+    char* end = nullptr;
+    const double parsed = std::strtod(value.c_str(), &end);
+    if (end == value.c_str() || *end != '\0' || errno != 0)
+        fatal("invalid number for ", flag, ": \"", value, "\"");
+    return parsed;
 }
 
 }  // namespace chrysalis

@@ -1,11 +1,13 @@
 /// \file
 /// String formatting helpers used by benchmark harnesses and reports:
-/// engineering-notation formatting of physical quantities and basic
-/// split/trim utilities.
+/// engineering-notation formatting of physical quantities, basic
+/// split/trim utilities and the command-line flag parsers every front
+/// end shares.
 
 #ifndef CHRYSALIS_COMMON_STRING_UTILS_HPP
 #define CHRYSALIS_COMMON_STRING_UTILS_HPP
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,6 +48,21 @@ std::string pad_left(std::string_view text, std::size_t width);
 
 /// Returns lower-cased copy of \p text (ASCII only).
 std::string to_lower(std::string_view text);
+
+/// Splits a `--key=value` argument into its key and \p inline_value;
+/// any other argument comes back whole with \p has_inline false.
+std::string split_flag(const std::string& arg, std::string& inline_value,
+                       bool& has_inline);
+
+/// Parse \p value, the value given for command-line flag \p flag, in
+/// full. Each fatal()s, naming the flag, on an empty value, trailing
+/// characters or a value outside the target type's range.
+int parse_int_flag(const std::string& flag, const std::string& value);
+/// Unsigned form (seeds, sizes): also rejects a leading sign or space,
+/// so "-1" is an error rather than 2^64 - 1.
+std::uint64_t parse_uint64_flag(const std::string& flag,
+                                const std::string& value);
+double parse_double_flag(const std::string& flag, const std::string& value);
 
 }  // namespace chrysalis
 

@@ -1,10 +1,7 @@
 #include "core/campaign.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -25,16 +22,6 @@ CampaignOptions::validate() const
     if (threads < 0)
         fatal("CampaignOptions: threads must be >= 0 (0 = all hardware "
               "threads), got ", threads);
-    if (max_attempts < 1)
-        fatal("CampaignOptions: max_attempts must be >= 1, got ",
-              max_attempts);
-    if (!(retry_backoff_s >= 0.0) || !std::isfinite(retry_backoff_s))
-        fatal("CampaignOptions: retry_backoff_s must be finite and >= 0, "
-              "got ", retry_backoff_s);
-    if (!(retry_backoff_cap_s >= 0.0) ||
-        !std::isfinite(retry_backoff_cap_s))
-        fatal("CampaignOptions: retry_backoff_cap_s must be finite and "
-              ">= 0, got ", retry_backoff_cap_s);
     if (!(progress_interval_s >= 0.0) || !std::isfinite(progress_interval_s))
         fatal("CampaignOptions: progress_interval_s must be finite and "
               ">= 0, got ", progress_interval_s);
@@ -51,7 +38,9 @@ CampaignResult::write_csv(std::ostream& output, CsvColumns columns) const
     output << '\n';
     // Doubles go through format_double_17g so the CSV round-trips
     // bit-exactly and a journal-resumed run's export stays
-    // byte-identical to an uninterrupted one.
+    // byte-identical to an uninterrupted one. Every case runs once, yet
+    // the attempts column stays, always 1: the header is the export
+    // format, and perfbench's campaign goldens digest whole rows.
     for (const auto& entry : entries) {
         const auto& solution = entry.solution;
         output << entry.label << ',' << (solution.feasible ? 1 : 0)
@@ -67,7 +56,7 @@ CampaignResult::write_csv(std::ostream& output, CsvColumns columns) const
                << fault::to_string(solution.failure.code) << ','
                << solution.evaluations << ',' << solution.cache_hits
                << ',' << solution.cache_misses << ','
-               << solution.cache_evictions << ',' << entry.attempts;
+               << solution.cache_evictions << ",1";
         if (columns == CsvColumns::kAll)
             output << ',' << format_double_17g(entry.wall_time_s);
         output << '\n';
@@ -89,7 +78,7 @@ namespace {
 /// Runs one case end-to-end (explorer construction + search). The span
 /// timer measures the case's own duration on a monotonic clock inside
 /// the task, so fan-out reports stay correct when cases run
-/// concurrently. May fatal()/throw; the caller handles isolation.
+/// concurrently. May fatal()/throw; run_isolated_case handles that.
 CampaignEntry
 run_case(const CampaignCase& campaign_case,
          const search::ExplorerOptions& base_options, std::size_t index)
@@ -132,54 +121,32 @@ run_case(const CampaignCase& campaign_case,
     return entry;
 }
 
-/// run_case with retry + crash isolation: a fatal() inside the case is
-/// caught (via FatalThrowGuard), retried with capped exponential backoff
-/// and — when attempts are exhausted — turned into an infeasible
-/// kCrashed entry so one bad case cannot kill a long campaign. Retries
-/// and crashes are reported to the campaign heartbeat \p progress.
+/// run_case under crash isolation: a fatal() inside the case is caught
+/// (via FatalThrowGuard) and turned into an infeasible kCrashed entry,
+/// so one bad case cannot kill a long campaign. The crash is reported
+/// to the campaign heartbeat \p progress.
 CampaignEntry
-run_case_with_retries(const CampaignCase& campaign_case,
-                      const search::ExplorerOptions& base_options,
-                      std::size_t index, int max_attempts,
-                      double retry_backoff_s, double retry_backoff_cap_s,
-                      obs::ProgressReporter& progress)
+run_isolated_case(const CampaignCase& campaign_case,
+                  const search::ExplorerOptions& base_options,
+                  std::size_t index, obs::ProgressReporter& progress)
 {
-    std::string last_error;
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        try {
-            FatalThrowGuard guard;
-            CampaignEntry entry =
-                run_case(campaign_case, base_options, index);
-            entry.attempts = attempt;
-            return entry;
-        } catch (const std::exception& error) {
-            last_error = error.what();
-            warn("campaign case '", campaign_case.label, "' attempt ",
-                 attempt, "/", max_attempts, " failed: ", last_error);
-        }
-        if (attempt < max_attempts) {
-            progress.note_retry();
-            if (obs::MetricsRegistry* registry = obs::metrics())
-                registry->counter("campaign/case_retries").add(1);
-        }
-        if (attempt < max_attempts && retry_backoff_s > 0.0) {
-            const double backoff = std::min(
-                retry_backoff_cap_s,
-                retry_backoff_s * std::pow(2.0, attempt - 1));
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(backoff));
-        }
+    std::string error;
+    try {
+        FatalThrowGuard guard;
+        return run_case(campaign_case, base_options, index);
+    } catch (const std::exception& failure) {
+        error = failure.what();
     }
+    warn("campaign case '", campaign_case.label, "' failed: ", error);
     progress.note_crash();
     if (obs::MetricsRegistry* registry = obs::metrics())
         registry->counter("campaign/cases_crashed").add(1);
     CampaignEntry entry;
     entry.label = campaign_case.label;
     entry.objective_label = to_string(campaign_case.objective.kind);
-    entry.attempts = max_attempts;
     entry.solution.feasible = false;
     entry.solution.failure = fault::make_failure(
-        fault::FailureCode::kCrashed, last_error);
+        fault::FailureCode::kCrashed, error);
     entry.solution.score = campaign_case.objective.penalty_score(
         entry.solution.failure);
     return entry;
@@ -236,13 +203,8 @@ run_campaign(const std::vector<CampaignCase>& cases,
                 return;
             }
         }
-        CampaignEntry entry = campaign_options.isolate_failures
-            ? run_case_with_retries(cases[index], base_options, index,
-                                    campaign_options.max_attempts,
-                                    campaign_options.retry_backoff_s,
-                                    campaign_options.retry_backoff_cap_s,
-                                    progress)
-            : run_case(cases[index], base_options, index);
+        CampaignEntry entry =
+            run_isolated_case(cases[index], base_options, index, progress);
         if (journaled) {
             JournalRecord record = to_journal_record(entry, keys[index]);
             if (campaign_options.deterministic_journal)

@@ -33,7 +33,6 @@ struct CampaignEntry {
     /// concurrently (it is the case's own duration, not a share of the
     /// campaign's elapsed time).
     double wall_time_s = 0.0;
-    int attempts = 1;          ///< evaluation attempts (1 = first try)
     bool from_journal = false; ///< restored from a resume journal, not run
 };
 
@@ -52,7 +51,8 @@ struct CampaignResult {
 
     /// Writes a CSV with one row per case: label, feasibility, the
     /// chosen EA/IA parameters, metrics, failure code, search effort,
-    /// memo-cache activity, attempts and (in kAll mode) timing.
+    /// memo-cache activity, attempts (always 1) and (in kAll mode)
+    /// timing.
     void write_csv(std::ostream& output,
                    CsvColumns columns = CsvColumns::kAll) const;
 
@@ -69,20 +69,6 @@ struct CampaignOptions {
     /// every case runs its GA serially whatever the base options'
     /// `outer.threads` says, so memo hit/miss counts are reproducible.
     int threads = 1;
-
-    /// When true, a case whose evaluation fatals (bad derived
-    /// configuration, a crashed search) is retried and — if it keeps
-    /// failing — recorded as an infeasible kCrashed entry instead of
-    /// killing the whole campaign. When false, fatal() behaves as usual
-    /// and terminates the process.
-    bool isolate_failures = true;
-    /// Evaluation attempts per case (>= 1); only meaningful with
-    /// isolate_failures.
-    int max_attempts = 2;
-    /// Base sleep before a retry; doubles per attempt.
-    double retry_backoff_s = 0.0;
-    /// Cap on the retry backoff.
-    double retry_backoff_cap_s = 5.0;
 
     /// When non-empty, finished cases are appended to this JSONL journal
     /// and — on a later run with the same cases and options — loaded
@@ -106,9 +92,13 @@ struct CampaignOptions {
     void validate() const;
 };
 
-/// Runs every case with \p base_options (the per-case seed is offset by
-/// the case index so cases are decorrelated but the whole campaign stays
-/// reproducible).
+/// Runs every case once with \p base_options (the per-case seed is
+/// offset by the case index so cases are decorrelated but the whole
+/// campaign stays reproducible). A case whose evaluation fatal()s (a bad
+/// derived configuration, a crashed search) is recorded as an
+/// infeasible kCrashed entry instead of killing the campaign. It is not
+/// retried: its search is a pure function of the case and the base
+/// options, so a second attempt would fail the same way.
 CampaignResult run_campaign(const std::vector<CampaignCase>& cases,
                             const search::ExplorerOptions& base_options,
                             const CampaignOptions& campaign_options);

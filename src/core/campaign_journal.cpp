@@ -125,7 +125,6 @@ to_journal_record(const CampaignEntry& entry, const std::string& key)
             std::string(fault::to_string(solution.failure.code));
         record.failure_detail = solution.failure.detail;
     }
-    record.attempts = entry.attempts;
     return record;
 }
 
@@ -144,7 +143,6 @@ from_journal_record(const JournalRecord& record)
     entry.label = record.label;
     entry.objective_label = record.objective_label;
     entry.wall_time_s = record.wall_time_s;
-    entry.attempts = record.attempts;
     entry.from_journal = true;
 
     AuTSolution& solution = entry.solution;
@@ -206,7 +204,6 @@ to_json_line(const JournalRecord& record)
                           format_double_17g(record.wall_time_s));
     json_append_field(out, "failure_code", record.failure_code);
     json_append_field(out, "failure_detail", record.failure_detail);
-    json_append_raw_field(out, "attempts", std::to_string(record.attempts));
     out += '}';
     return out;
 }
@@ -214,6 +211,8 @@ to_json_line(const JournalRecord& record)
 bool
 parse_json_line(const std::string& line, JournalRecord& record)
 {
+    // Lines written before every case ran exactly once also carry an
+    // "attempts" field; it is not read.
     FlatJsonFields fields;
     if (!scan_flat_json(line, fields))
         return false;
@@ -241,8 +240,7 @@ parse_json_line(const std::string& line, JournalRecord& record)
                         record.search_wall_time_s) &&
         json_get_double(fields, "wall_time_s", record.wall_time_s) &&
         json_get_string(fields, "failure_code", record.failure_code) &&
-        json_get_string(fields, "failure_detail", record.failure_detail) &&
-        json_get_int(fields, "attempts", record.attempts);
+        json_get_string(fields, "failure_detail", record.failure_detail);
     record.feasible = feasible != 0;
     return ok;
 }

@@ -48,7 +48,6 @@ struct JournalRecord {
     double wall_time_s = 0.0;
     std::string failure_code;    ///< fault::to_string(code); "" for none
     std::string failure_detail;
-    int attempts = 1;
 };
 
 /// Stable identity of one campaign case: hashes the case index, label,

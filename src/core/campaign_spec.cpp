@@ -51,9 +51,6 @@ CampaignSpec::validate() const
     if (!(fault_age_years >= 0.0) || !std::isfinite(fault_age_years))
         fatal("CampaignSpec: fault_age_years must be finite and >= 0, "
               "got ", fault_age_years);
-    if (max_attempts < 1)
-        fatal("CampaignSpec: max_attempts must be >= 1, got ",
-              max_attempts);
 }
 
 const char*
@@ -70,26 +67,28 @@ campaign_case_label(const std::string& model_name, std::size_t index)
            std::to_string(index);
 }
 
+search::Objective
+campaign_objective(const CampaignSpec& spec, const std::string& kind)
+{
+    const std::string key = to_lower(kind);
+    if (key == "lat")
+        return {search::ObjectiveKind::kLatency, spec.sp_limit_cm2, 0.0};
+    if (key == "sp")
+        return {search::ObjectiveKind::kSolarPanel, 0.0, spec.lat_limit_s};
+    if (key == "latsp" || key == "lat*sp")
+        return {search::ObjectiveKind::kLatSp, 0.0, 0.0};
+    fatal("unknown objective '", kind, "'");
+}
+
 CampaignCase
 build_campaign_case(const CampaignSpec& spec, const dnn::Model& model,
                     std::size_t index)
 {
-    const std::string kind = campaign_case_kind(index);
-    search::Objective objective;
-    if (kind == "lat") {
-        objective = {search::ObjectiveKind::kLatency, spec.sp_limit_cm2,
-                     0.0};
-    } else if (kind == "sp") {
-        objective = {search::ObjectiveKind::kSolarPanel, 0.0,
-                     spec.lat_limit_s};
-    } else {
-        objective = {search::ObjectiveKind::kLatSp, 0.0, 0.0};
-    }
     return {campaign_case_label(model.name(), index), model,
             to_lower(spec.space) == "future"
                 ? search::DesignSpace::future_aut()
                 : search::DesignSpace::existing_aut(),
-            objective};
+            campaign_objective(spec, campaign_case_kind(index))};
 }
 
 std::vector<CampaignCase>

@@ -10,9 +10,10 @@
 /// counts, timeouts, journal paths) are deliberately *not* part of the
 /// spec.
 ///
-/// The spec mirrors `chrysalis_cli --campaign`: \p cases search cases
-/// over one workload, objectives cycling latsp/lat/sp, per-case seeds
-/// decorrelated by `run_campaign`'s index offset.
+/// A spec is the campaign front end's input: \p cases search cases over
+/// one workload, objectives cycling latsp/lat/sp, per-case seeds
+/// decorrelated by `run_campaign`'s index offset. `chrysalis_cli`'s
+/// single-design mode reads the same result-shaping fields.
 
 #ifndef CHRYSALIS_CORE_CAMPAIGN_SPEC_HPP
 #define CHRYSALIS_CORE_CAMPAIGN_SPEC_HPP
@@ -30,7 +31,7 @@ namespace chrysalis::core {
 /// Result-shaping description of one campaign. validate() fatals on
 /// out-of-range fields.
 struct CampaignSpec {
-    std::string model = "kws";       ///< model-zoo workload name
+    std::string model = "kws";       ///< model-zoo name (or .model path)
     std::string space = "existing";  ///< "existing" | "future"
     int cases = 6;                   ///< objectives cycle latsp/lat/sp
     double sp_limit_cm2 = 20.0;      ///< panel budget (lat objective)
@@ -43,14 +44,18 @@ struct CampaignSpec {
     double fault_dropout = 0.0;      ///< harvester dropout probability
     double fault_age_years = 0.0;    ///< capacitor mission age
     double fault_ckpt = 0.0;         ///< checkpoint corruption rate
-    int max_attempts = 2;            ///< per-case isolation attempts
 
     void validate() const;
 };
 
-/// Objective kind of case \p index: "latsp", "lat", "sp", cycling — the
-/// `chrysalis_cli --campaign` scheme.
+/// Objective kind of case \p index: "latsp", "lat", "sp", cycling.
 const char* campaign_case_kind(std::size_t index);
+
+/// Objective of \p kind ("lat", "sp", "latsp" or "lat*sp", any case)
+/// with the spec's panel budget (lat) or deadline (sp); fatal() on any
+/// other kind.
+search::Objective campaign_objective(const CampaignSpec& spec,
+                                     const std::string& kind);
 
 /// Label of case \p index: "<model-name>-<kind>-<index>".
 std::string campaign_case_label(const std::string& model_name,

@@ -51,13 +51,6 @@ ProgressReporter::advance(std::size_t delta)
 }
 
 void
-ProgressReporter::note_retry(std::size_t delta)
-{
-    MutexLock lock(mutex_);
-    retries_ += delta;
-}
-
-void
 ProgressReporter::note_crash()
 {
     MutexLock lock(mutex_);
@@ -115,8 +108,6 @@ ProgressReporter::format_line_locked(bool final) const
             os << " eta " << format_duration(eta);
         }
     }
-    if (retries_ > 0)
-        os << " retries=" << retries_;
     if (crashes_ > 0)
         os << " crashed=" << crashes_;
     if (restored_ > 0)

@@ -3,7 +3,7 @@
 ///
 /// `run_campaign` can take minutes to hours; the ProgressReporter emits
 /// periodic one-line status records — cases done/total, percentage, an
-/// ETA extrapolated from throughput so far, and the retry/crash/resume
+/// ETA extrapolated from throughput so far, and the crash/resume
 /// counts — through the logging sink at `kInform` level. With the
 /// default `kWarn` threshold the heartbeat is silent; set
 /// `CHRYSALIS_LOG_LEVEL=info` (or call `set_log_level`) to see it.
@@ -40,10 +40,8 @@ class ProgressReporter
     /// Marks \p delta items finished; may emit a heartbeat line.
     void advance(std::size_t delta = 1) CHRYSALIS_EXCLUDES(mutex_);
 
-    /// Counts an evaluation retry / a case that exhausted its retries /
-    /// an item restored from a resume journal. Reflected in the
-    /// heartbeat and final summary lines.
-    void note_retry(std::size_t delta = 1) CHRYSALIS_EXCLUDES(mutex_);
+    /// Counts an item that crashed / an item restored from a resume
+    /// journal. Reflected in the heartbeat and final summary lines.
     void note_crash() CHRYSALIS_EXCLUDES(mutex_);
     void note_restored() CHRYSALIS_EXCLUDES(mutex_);
 
@@ -68,7 +66,6 @@ class ProgressReporter
 
     mutable Mutex mutex_;
     std::size_t done_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
-    std::size_t retries_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
     std::size_t crashes_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
     std::size_t restored_ CHRYSALIS_GUARDED_BY(mutex_) = 0;
     std::size_t reports_ CHRYSALIS_GUARDED_BY(mutex_) = 0;

@@ -3,13 +3,13 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include <poll.h>
 #include <unistd.h>
 
 #include "common/logging.hpp"
+#include "common/string_utils.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/client.hpp"
@@ -29,44 +29,6 @@ handle_shutdown_signal(int)
     const char byte = 1;
     [[maybe_unused]] const ssize_t n =
         ::write(g_signal_pipe[1], &byte, 1);
-}
-
-int
-parse_int_flag(const std::string& flag, const std::string& value)
-{
-    errno = 0;
-    char* end = nullptr;
-    const long parsed = std::strtol(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' || errno != 0)
-        fatal("invalid integer for ", flag, ": \"", value, "\"");
-    return static_cast<int>(parsed);
-}
-
-double
-parse_double_flag(const std::string& flag, const std::string& value)
-{
-    errno = 0;
-    char* end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0' || errno != 0)
-        fatal("invalid number for ", flag, ": \"", value, "\"");
-    return parsed;
-}
-
-/// Splits "--key=value" into key + inline value; returns the key.
-std::string
-split_flag(const std::string& arg, std::string& inline_value,
-           bool& has_inline)
-{
-    has_inline = false;
-    if (arg.rfind("--", 0) != 0)
-        return arg;
-    const auto eq = arg.find('=');
-    if (eq == std::string::npos)
-        return arg;
-    inline_value = arg.substr(eq + 1);
-    has_inline = true;
-    return arg.substr(0, eq);
 }
 
 }  // namespace
@@ -137,8 +99,7 @@ run_serve_cli(int argc, char** argv, int first)
         } else if (arg == "--worker-id") {
             options.server.worker_id = next();
         } else if (arg == "--cache-capacity") {
-            options.server.cache_capacity =
-                static_cast<std::size_t>(parse_int_flag(arg, next()));
+            options.server.cache_capacity = parse_uint64_flag(arg, next());
         } else if (arg == "--max-connections") {
             options.server.max_connections = parse_int_flag(arg, next());
         } else if (arg == "--max-inflight") {
@@ -155,7 +116,7 @@ run_serve_cli(int argc, char** argv, int first)
                 parse_double_flag(arg, next());
         } else if (arg == "--max-write-buffer") {
             options.server.max_write_buffer_bytes =
-                static_cast<std::size_t>(parse_int_flag(arg, next()));
+                parse_uint64_flag(arg, next());
         } else if (arg == "--drain-timeout") {
             options.server.drain_timeout_s =
                 parse_double_flag(arg, next());

@@ -157,6 +157,19 @@ scan_value(const std::string& escaped)
     return fields.at("v");
 }
 
+TEST(FlatJson, EveryTwoCharacterEscapeDecodes)
+{
+    // RFC 8259 section 7: a conforming client may escape '/' and send
+    // backspace and form feed as \b and \f. The writers never emit
+    // these three, but the scanner must accept them.
+    EXPECT_EQ(scan_value(R"(a\/b)"), "a/b");
+    EXPECT_EQ(scan_value(R"(a\bb)"), "a\bb");
+    EXPECT_EQ(scan_value(R"(a\fb)"), "a\fb");
+    EXPECT_EQ(scan_value(R"(\"\\\/\b\f\n\r\t)"), "\"\\/\b\f\n\r\t");
+    EXPECT_EQ(scan_value(R"(a\x41)"), "<rejected>");
+    EXPECT_EQ(scan_value(R"(a\a)"), "<rejected>");
+}
+
 TEST(FlatJson, UnicodeEscapeDecodesToUtf8)
 {
     // Every code point becomes its UTF-8 bytes, never its low byte.

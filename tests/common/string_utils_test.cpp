@@ -1,5 +1,6 @@
 /// \file
-/// Tests for string formatting helpers.
+/// Tests for string formatting helpers and the command-line flag
+/// parsers.
 
 #include "common/string_utils.hpp"
 
@@ -84,6 +85,71 @@ TEST(ToLowerTest, MixedCase)
 {
     EXPECT_EQ(to_lower("TPU"), "tpu");
     EXPECT_EQ(to_lower("EyeRiss-V1"), "eyeriss-v1");
+}
+
+TEST(SplitFlagTest, InlineValueForm)
+{
+    std::string value;
+    bool has_inline = true;
+    EXPECT_EQ(split_flag("--seed", value, has_inline), "--seed");
+    EXPECT_FALSE(has_inline);
+    EXPECT_EQ(split_flag("--seed=7", value, has_inline), "--seed");
+    EXPECT_TRUE(has_inline);
+    EXPECT_EQ(value, "7");
+    EXPECT_EQ(split_flag("--model=a=b", value, has_inline), "--model");
+    EXPECT_EQ(value, "a=b");
+    EXPECT_EQ(split_flag("-x=1", value, has_inline), "-x=1");
+    EXPECT_FALSE(has_inline);
+}
+
+TEST(ParseFlagTest, AcceptsWholeValuesInRange)
+{
+    EXPECT_EQ(parse_int_flag("--n", "-12"), -12);
+    EXPECT_EQ(parse_int_flag("--n", "2147483647"), 2147483647);
+    EXPECT_EQ(parse_uint64_flag("--seed", "18446744073709551615"),
+              18446744073709551615ULL);
+    EXPECT_EQ(parse_uint64_flag("--seed", "0"), 0u);
+    EXPECT_EQ(parse_double_flag("--p", "0.25"), 0.25);
+    EXPECT_EQ(parse_double_flag("--p", "-1e-3"), -1e-3);
+}
+
+TEST(ParseFlagDeathTest, RejectsJunkAndTrailingGarbage)
+{
+    EXPECT_EXIT(parse_int_flag("--population", "abc"),
+                ::testing::ExitedWithCode(1), "--population");
+    EXPECT_EXIT(parse_int_flag("--population", "8x"),
+                ::testing::ExitedWithCode(1), "--population");
+    EXPECT_EXIT(parse_int_flag("--population", ""),
+                ::testing::ExitedWithCode(1), "--population");
+    EXPECT_EXIT(parse_uint64_flag("--seed", "5 "),
+                ::testing::ExitedWithCode(1), "--seed");
+    EXPECT_EXIT(parse_double_flag("--bright", "2e-3W"),
+                ::testing::ExitedWithCode(1), "--bright");
+    EXPECT_EXIT(parse_double_flag("--bright", "."),
+                ::testing::ExitedWithCode(1), "--bright");
+}
+
+TEST(ParseFlagDeathTest, RejectsOutOfRangeValues)
+{
+    // 4294971606 is 4310 modulo 2^32: a cast would turn it into a port.
+    EXPECT_EXIT(parse_int_flag("--port", "4294971606"),
+                ::testing::ExitedWithCode(1), "--port");
+    EXPECT_EXIT(parse_int_flag("--port", "-2147483649"),
+                ::testing::ExitedWithCode(1), "--port");
+    EXPECT_EXIT(parse_uint64_flag("--seed", "18446744073709551616"),
+                ::testing::ExitedWithCode(1), "--seed");
+    EXPECT_EXIT(parse_double_flag("--dark", "1e999"),
+                ::testing::ExitedWithCode(1), "--dark");
+}
+
+TEST(ParseFlagDeathTest, UnsignedFormRejectsASign)
+{
+    EXPECT_EXIT(parse_uint64_flag("--cache-capacity", "-1"),
+                ::testing::ExitedWithCode(1), "--cache-capacity");
+    EXPECT_EXIT(parse_uint64_flag("--cache-capacity", "+1"),
+                ::testing::ExitedWithCode(1), "--cache-capacity");
+    EXPECT_EXIT(parse_uint64_flag("--seed", " 1"),
+                ::testing::ExitedWithCode(1), "--seed");
 }
 
 }  // namespace

@@ -8,9 +8,13 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/logging.hpp"
 #include "common/string_utils.hpp"
 #include "dnn/model_zoo.hpp"
 
@@ -82,7 +86,6 @@ TEST(CampaignJournalTest, RecordRoundTripsThroughJson)
     record.wall_time_s = 3.25;
     record.failure_code = "timeout";
     record.failure_detail = "after 300000 s";
-    record.attempts = 2;
 
     JournalRecord parsed;
     ASSERT_TRUE(parse_json_line(to_json_line(record), parsed));
@@ -106,7 +109,6 @@ TEST(CampaignJournalTest, RecordRoundTripsThroughJson)
     EXPECT_EQ(parsed.wall_time_s, record.wall_time_s);
     EXPECT_EQ(parsed.failure_code, record.failure_code);
     EXPECT_EQ(parsed.failure_detail, record.failure_detail);
-    EXPECT_EQ(parsed.attempts, record.attempts);
 }
 
 TEST(CampaignJournalTest, TornAndMalformedLinesAreSkipped)
@@ -211,6 +213,61 @@ TEST(CampaignResumeTest, StaleJournalFromDifferentOptionsIsIgnored)
     EXPECT_EQ(rerun.journal_skips, 0u);
 }
 
+/// Rewrites every line of the journal at \p path through \p edit.
+template <typename EditFn>
+void
+rewrite_journal(const std::string& path, EditFn&& edit)
+{
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(path);
+        std::string line;
+        while (std::getline(in, line))
+            lines.push_back(edit(line));
+    }
+    std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : lines)
+        out << line << '\n';
+}
+
+TEST(CampaignResumeTest, JournalLineWithoutAttemptsRestoresItsCase)
+{
+    CampaignOptions options;
+    options.journal_path = journal_path("resume_no_attempts.jsonl");
+    const CampaignResult first =
+        run_campaign(two_cases(), small_options(), options);
+    rewrite_journal(options.journal_path, [](std::string line) {
+        const std::size_t at = line.find(",\"attempts\":");
+        if (at != std::string::npos)
+            line.erase(at, line.find('}', at) - at);
+        EXPECT_EQ(line.find("attempts"), std::string::npos) << line;
+        return line;
+    });
+    const CampaignResult resumed =
+        run_campaign(two_cases(), small_options(), options);
+    EXPECT_EQ(resumed.journal_skips, 2u);
+    EXPECT_EQ(deterministic_csv(first), deterministic_csv(resumed));
+}
+
+TEST(CampaignResumeTest, JournalLineWithAttemptsFieldStillRestores)
+{
+    // Lines written while cases could be retried end in an attempts
+    // field; a crashed case's line read "attempts":2.
+    CampaignOptions options;
+    options.journal_path = journal_path("resume_old_attempts.jsonl");
+    run_campaign(two_cases(), small_options(), options);
+    rewrite_journal(options.journal_path, [](std::string line) {
+        if (line.find("\"attempts\":") == std::string::npos)
+            line.insert(line.rfind('}'), ",\"attempts\":2");
+        return line;
+    });
+    const CampaignResult resumed =
+        run_campaign(two_cases(), small_options(), options);
+    EXPECT_EQ(resumed.journal_skips, 2u);
+    for (const auto& entry : resumed.entries)
+        EXPECT_TRUE(entry.from_journal) << entry.label;
+}
+
 TEST(CampaignJournalTest, CaseKeyIsHexAndCoversTheGridWidth)
 {
     const CampaignCase campaign_case = two_cases().front();
@@ -234,37 +291,40 @@ TEST(CampaignJournalTest, CaseKeyIsHexAndCoversTheGridWidth)
 
 TEST(CampaignIsolationTest, CrashingCasesAreRecordedNotFatal)
 {
-    // An empty environment list makes every case's explorer fatal();
-    // with isolation on, the campaign must survive and report kCrashed.
+    // An empty environment list makes every case's explorer fatal(); the
+    // campaign must survive, run each case once and report kCrashed.
     search::ExplorerOptions bad = small_options();
     bad.k_eh_envs.clear();
-    CampaignOptions options;
-    options.isolate_failures = true;
-    options.max_attempts = 2;
-    const CampaignResult result =
-        run_campaign(two_cases(), bad, options);
+    std::vector<std::string> warnings;
+    set_log_sink([&](LogLevel level, std::string_view message) {
+        if (level == LogLevel::kWarn)
+            warnings.emplace_back(message);
+    });
+    const CampaignResult result = run_campaign(two_cases(), bad);
+    set_log_sink({});
     ASSERT_EQ(result.entries.size(), 2u);
     for (const auto& entry : result.entries) {
         EXPECT_FALSE(entry.solution.feasible) << entry.label;
         EXPECT_EQ(entry.solution.failure.code,
                   fault::FailureCode::kCrashed)
             << entry.label;
-        EXPECT_EQ(entry.attempts, 2) << entry.label;
         EXPECT_GT(entry.solution.score, 0.0);
     }
-    std::ostringstream os;
-    result.write_csv(os);
-    EXPECT_NE(os.str().find("crashed"), std::string::npos);
-}
+    // One failure warning per case: a case is never run twice.
+    ASSERT_EQ(warnings.size(), 2u);
+    for (const std::string& warning : warnings)
+        EXPECT_NE(warning.find("failed"), std::string::npos) << warning;
 
-TEST(CampaignIsolationDeathTest, WithoutIsolationTheCrashIsFatal)
-{
-    search::ExplorerOptions bad = small_options();
-    bad.k_eh_envs.clear();
-    CampaignOptions options;
-    options.isolate_failures = false;
-    EXPECT_EXIT(run_campaign(two_cases(), bad, options),
-                ::testing::ExitedWithCode(1), "environment");
+    // Each crashed row reads 1 in the attempts column, the last one of
+    // the deterministic CSV.
+    const std::vector<std::string> lines =
+        split(deterministic_csv(result), '\n');
+    ASSERT_EQ(lines.size(), 4u);  // header, two rows, trailing ""
+    for (std::size_t row = 1; row <= 2; ++row) {
+        EXPECT_NE(lines[row].find("crashed"), std::string::npos)
+            << lines[row];
+        EXPECT_EQ(split(lines[row], ',').back(), "1") << lines[row];
+    }
 }
 
 TEST(CampaignOptionsDeathTest, ValidationRejectsBadFields)
@@ -274,16 +334,6 @@ TEST(CampaignOptionsDeathTest, ValidationRejectsBadFields)
     EXPECT_EXIT(run_campaign(two_cases(), small_options(),
                              negative_threads),
                 ::testing::ExitedWithCode(1), "threads");
-
-    CampaignOptions zero_attempts;
-    zero_attempts.max_attempts = 0;
-    EXPECT_EXIT(run_campaign(two_cases(), small_options(), zero_attempts),
-                ::testing::ExitedWithCode(1), "max_attempts");
-
-    CampaignOptions bad_backoff;
-    bad_backoff.retry_backoff_s = -1.0;
-    EXPECT_EXIT(run_campaign(two_cases(), small_options(), bad_backoff),
-                ::testing::ExitedWithCode(1), "retry_backoff_s");
 }
 
 }  // namespace

@@ -70,6 +70,27 @@ TEST(CampaignSpec, BuiltCasesMatchTheSpec)
     EXPECT_EQ(cases[2].objective.lat_limit_s, spec.lat_limit_s);
 }
 
+TEST(CampaignSpec, ObjectiveKindsCarryTheSpecLimits)
+{
+    CampaignSpec spec = small_spec();
+    spec.sp_limit_cm2 = 7.0;
+    spec.lat_limit_s = 30.0;
+    const search::Objective lat = campaign_objective(spec, "LAT");
+    EXPECT_EQ(lat.kind, search::ObjectiveKind::kLatency);
+    EXPECT_EQ(lat.sp_limit_cm2, 7.0);
+    const search::Objective sp = campaign_objective(spec, "sp");
+    EXPECT_EQ(sp.kind, search::ObjectiveKind::kSolarPanel);
+    EXPECT_EQ(sp.lat_limit_s, 30.0);
+    EXPECT_EQ(campaign_objective(spec, "lat*sp").kind,
+              search::ObjectiveKind::kLatSp);
+}
+
+TEST(CampaignSpecDeathTest, UnknownObjectiveIsFatal)
+{
+    EXPECT_EXIT(campaign_objective(small_spec(), "energy"),
+                ::testing::ExitedWithCode(1), "unknown objective");
+}
+
 TEST(CampaignSpec, ExplorerOptionsCarryBudgetSeedAndFaults)
 {
     CampaignSpec spec = small_spec();
@@ -98,14 +119,12 @@ TEST(CampaignSpec, DeterministicRecordZeroesOnlyWallTimes)
     record.score = 1.5;
     record.search_wall_time_s = 3.25;
     record.wall_time_s = 4.5;
-    record.attempts = 2;
     const JournalRecord cleaned = deterministic_record(record);
     EXPECT_EQ(cleaned.search_wall_time_s, 0.0);
     EXPECT_EQ(cleaned.wall_time_s, 0.0);
     EXPECT_EQ(cleaned.key, record.key);
     EXPECT_EQ(cleaned.label, record.label);
     EXPECT_EQ(cleaned.score, record.score);
-    EXPECT_EQ(cleaned.attempts, record.attempts);
 }
 
 TEST(CampaignSpec, DeterministicJournalIsByteStableAcrossRuns)

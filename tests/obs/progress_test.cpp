@@ -1,6 +1,6 @@
 /// \file
 /// Tests for the ProgressReporter heartbeat: rate limiting, the final
-/// summary line, retry/crash/restore annotations and the kInform level
+/// summary line, crash/restore annotations and the kInform level
 /// gating (silent at the default kWarn threshold).
 
 #include "obs/progress.hpp"
@@ -93,11 +93,9 @@ TEST_F(ProgressTest, FinishIsIdempotent)
     EXPECT_EQ(progress.reports_emitted(), 1u);  // exactly one summary
 }
 
-TEST_F(ProgressTest, AnnotatesRetriesCrashesAndRestores)
+TEST_F(ProgressTest, AnnotatesCrashesAndRestores)
 {
     ProgressReporter progress("flaky", 4, every_event());
-    progress.note_retry();
-    progress.note_retry();
     progress.advance();
     progress.note_crash();
     progress.advance();
@@ -106,7 +104,6 @@ TEST_F(ProgressTest, AnnotatesRetriesCrashesAndRestores)
     progress.advance();
     progress.finish();
     const std::string& summary = records_.back().second;
-    EXPECT_NE(summary.find("retries"), std::string::npos) << summary;
     EXPECT_NE(summary.find("crash"), std::string::npos) << summary;
     EXPECT_NE(summary.find("restored"), std::string::npos) << summary;
 }
@@ -118,7 +115,6 @@ TEST_F(ProgressTest, CleanRunSummaryOmitsFailureAnnotations)
     progress.advance();
     progress.finish();
     const std::string& summary = records_.back().second;
-    EXPECT_EQ(summary.find("retries"), std::string::npos) << summary;
     EXPECT_EQ(summary.find("crash"), std::string::npos) << summary;
 }
 
