@@ -68,6 +68,13 @@ main()
     add("CHRYSALIS", designed, designed_report);
     add("iNAS original", reference, reference_report);
     table.print(std::cout);
+    bench::headline("deadline_rate/chrysalis",
+                    designed_report.deadline_rate);
+    bench::headline("deadline_rate/inas", reference_report.deadline_rate);
+    bench::headline("completion_rate/chrysalis",
+                    designed_report.completion_rate);
+    bench::headline("completion_rate/inas",
+                    reference_report.completion_rate);
 
     std::cout << "\nPer-day service (CHRYSALIS design):\n"
               << designed_report.summary();

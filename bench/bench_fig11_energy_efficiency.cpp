@@ -89,6 +89,10 @@ main()
         if (samples.empty())
             continue;
         const auto stats = summarize(samples);
+        bench::headline("mean_efficiency/" + to_string(baseline),
+                        stats.mean);
+        bench::headline("min_efficiency/" + to_string(baseline),
+                        stats.min);
         summary.add_row({to_string(baseline),
                          format_percent(stats.mean),
                          format_percent(stats.min),
