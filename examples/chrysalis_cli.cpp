@@ -55,6 +55,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,7 +153,10 @@ usage(const char* argv0)
         argv0, argv0);
 }
 
-bool
+/// Parses the flag mode's arguments into \p options. Returns the exit
+/// code when there is nothing to run: 0 after `--help`, 2 after an
+/// unknown option.
+std::optional<int>
 parse_args(int argc, char** argv, CliOptions& options)
 {
     for (int i = 1; i < argc; ++i) {
@@ -177,15 +181,15 @@ parse_args(int argc, char** argv, CliOptions& options)
             options.csv = true;
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
-            return false;
+            return 0;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             usage(argv[0]);
-            return false;
+            return 2;
         }
     }
     options.shared.spec.validate();
-    return true;
+    return std::nullopt;
 }
 
 dnn::Model
@@ -430,8 +434,8 @@ main(int argc, char** argv)
         return run_campaign_cli(argc, argv, 2);
 
     CliOptions options;
-    if (!parse_args(argc, argv, options))
-        return 2;
+    if (const std::optional<int> exit_code = parse_args(argc, argv, options))
+        return *exit_code;
     // The observability sinks outlive all the work: attached before any
     // search runs, detached before the reports are written.
     return run_with_reports(options.shared,

@@ -10,6 +10,11 @@
 /// mapping searches. Keys are sharded across independently locked LRU
 /// maps so parallel evaluators rarely contend.
 ///
+/// The explorer stores `std::shared_ptr<const EvaluatedDesign>`: one
+/// immutable record per evaluated design, shared by the memo and the
+/// exploration history. A hit copies a pointer, not the record, and an
+/// eviction drops only the memo's reference, never one a caller holds.
+///
 /// Concurrency contract: `get_or_compute` may invoke the compute function
 /// on two threads racing for the same key; both results are identical (the
 /// function must be pure), one is cached, and each caller gets a correct

@@ -63,7 +63,8 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
     }
 
     if (options_.cache_capacity > 0) {
-        cache_ = std::make_unique<runtime::EvalCache<EvaluatedDesign>>(
+        cache_ = std::make_unique<
+            runtime::EvalCache<std::shared_ptr<const EvaluatedDesign>>>(
             options_.cache_capacity);
     }
 
@@ -91,14 +92,15 @@ BiLevelExplorer::candidate_key(const HwCandidate& raw) const
     return hash.key();
 }
 
-EvaluatedDesign
+std::shared_ptr<const EvaluatedDesign>
 BiLevelExplorer::evaluate_cached(const HwCandidate& raw) const
 {
     if (!cache_)
-        return evaluate(raw);
+        return std::make_shared<const EvaluatedDesign>(evaluate(raw));
     const HwCandidate candidate = space_.clamp(raw);
-    return cache_->get_or_compute(candidate_key(candidate),
-                                  [&] { return evaluate(candidate); });
+    return cache_->get_or_compute(candidate_key(candidate), [&] {
+        return std::make_shared<const EvaluatedDesign>(evaluate(candidate));
+    });
 }
 
 runtime::EvalCacheStats
@@ -140,6 +142,7 @@ BiLevelExplorer::evaluate(const HwCandidate& raw_candidate) const
 
     design.feasible = design.mapping.feasible;
     design.failure = design.mapping.failure;
+    design.per_env.reserve(envs.size());
     double latency_sum = 0.0;
     double violation = design.mapping.violation_j;
     for (const auto& env : envs) {
@@ -243,12 +246,13 @@ BiLevelExplorer::explore(const std::vector<HwCandidate>& warm_starts) const
     // index and ordered afterwards, so the history is identical to the
     // serial path at any thread count.
     Mutex evaluated_mutex;
-    std::vector<std::pair<std::size_t, EvaluatedDesign>> evaluated;
+    std::vector<std::pair<std::size_t, std::shared_ptr<const EvaluatedDesign>>>
+        evaluated;
     evaluated.reserve(expected);
     const IndexedFitnessFn fitness = [&](std::size_t index,
                                          const std::vector<double>& genes) {
-        EvaluatedDesign design = evaluate_cached(decode(genes));
-        const double score = design.score;
+        auto design = evaluate_cached(decode(genes));
+        const double score = design->score;
         MutexLock lock(evaluated_mutex);
         evaluated.emplace_back(index, std::move(design));
         return score;
@@ -275,17 +279,15 @@ BiLevelExplorer::explore(const std::vector<HwCandidate>& warm_starts) const
     // Recover the best design from the history (scores match 1:1).
     const auto best_it = std::min_element(
         result.history.begin(), result.history.end(),
-        [](const EvaluatedDesign& a, const EvaluatedDesign& b) {
-            return a.score < b.score;
-        });
+        [](const auto& a, const auto& b) { return a->score < b->score; });
     if (best_it == result.history.end())
         panic("BiLevelExplorer::explore: empty history");
-    result.best = *best_it;
+    result.best = **best_it;
 
     // Pareto front over feasible designs: (solar panel, latency).
     std::vector<ParetoPoint> points;
     for (std::size_t i = 0; i < result.history.size(); ++i) {
-        const auto& design = result.history[i];
+        const EvaluatedDesign& design = *result.history[i];
         if (design.feasible) {
             points.push_back({design.candidate.solar_cm2,
                               design.mean_latency_s, i});
@@ -311,7 +313,8 @@ BiLevelExplorer::explore_pareto() const
     OBS_SPAN("search/explore_pareto");
     const runtime::EvalCacheStats cache_before = cache_stats();
     Mutex evaluated_mutex;
-    std::vector<std::pair<std::size_t, EvaluatedDesign>> evaluated;
+    std::vector<std::pair<std::size_t, std::shared_ptr<const EvaluatedDesign>>>
+        evaluated;
     evaluated.reserve(static_cast<std::size_t>(
         options_.outer.population * options_.outer.generations));
 
@@ -319,11 +322,11 @@ BiLevelExplorer::explore_pareto() const
     const IndexedBiFitnessFn fitness =
         [&](std::size_t index,
             const std::vector<double>& genes) -> std::array<double, 2> {
-        EvaluatedDesign design = evaluate_cached(decode(genes));
+        auto design = evaluate_cached(decode(genes));
         std::array<double, 2> objectives{kInfeasible, kInfeasible};
-        if (design.feasible) {
-            objectives = {design.candidate.solar_cm2,
-                          design.mean_latency_s};
+        if (design->feasible) {
+            objectives = {design->candidate.solar_cm2,
+                          design->mean_latency_s};
         }
         MutexLock lock(evaluated_mutex);
         evaluated.emplace_back(index, std::move(design));
@@ -338,12 +341,8 @@ BiLevelExplorer::explore_pareto() const
     // Deterministic evaluation-index order == result.history order.
     std::sort(evaluated.begin(), evaluated.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    std::vector<EvaluatedDesign> history;
-    history.reserve(evaluated.size());
-    for (auto& entry : evaluated)
-        history.push_back(std::move(entry.second));
 
-    // Map front points back to the evaluated designs (history order ==
+    // Map front points back to the evaluated designs (evaluated order ==
     // evaluation order == result.history order).
     std::vector<EvaluatedDesign> front;
     for (const auto& point : result.front) {
@@ -352,14 +351,14 @@ BiLevelExplorer::explore_pareto() const
         // Find the matching history entry by objectives + genes.
         for (std::size_t i = 0; i < result.history.size(); ++i) {
             if (result.history[i].genes == point.genes) {
-                front.push_back(history[i]);
+                front.push_back(*evaluated[i].second);
                 break;
             }
         }
     }
     if (obs::MetricsRegistry* registry = obs::metrics()) {
         registry->counter("search/explorations").add(1);
-        registry->counter("search/evaluations").add(history.size());
+        registry->counter("search/evaluations").add(evaluated.size());
         (cache_stats() - cache_before).publish(*registry);
         if (options_.faults != nullptr)
             options_.faults->publish(*registry);

@@ -59,7 +59,10 @@ struct ExplorerOptions {
     const fault::FaultInjector* faults = nullptr;
 };
 
-/// One fully evaluated design point.
+/// One fully evaluated design point. Immutable once shared: the
+/// explorer's memo, its history and the NSGA-II front hold one record
+/// per evaluation through `std::shared_ptr<const EvaluatedDesign>`, so a
+/// memo hit copies a pointer, not the record.
 struct EvaluatedDesign {
     HwCandidate candidate;
     MappingSearchResult mapping;
@@ -73,7 +76,9 @@ struct EvaluatedDesign {
 /// Result of a full exploration.
 struct ExplorationResult {
     EvaluatedDesign best;
-    std::vector<EvaluatedDesign> history;  ///< every evaluated design
+    /// Every evaluated design, in evaluation order. A design the memo
+    /// served is the record it first computed, shared, not a copy.
+    std::vector<std::shared_ptr<const EvaluatedDesign>> history;
     std::vector<ParetoPoint> pareto;  ///< (sp, lat) front over history
     int evaluations = 0;
     runtime::EvalCacheStats cache;  ///< memo activity during this run
@@ -106,8 +111,10 @@ class BiLevelExplorer
 
     /// Like evaluate(), but memoized on the design's cache key; the
     /// fitness path of explore()/explore_pareto() goes through here.
-    /// Thread-safe. Falls back to evaluate() when the cache is disabled.
-    EvaluatedDesign evaluate_cached(const HwCandidate& candidate) const;
+    /// Thread-safe. A hit returns the memo's record itself; with the
+    /// cache disabled every call evaluates into a fresh record.
+    std::shared_ptr<const EvaluatedDesign> evaluate_cached(
+        const HwCandidate& candidate) const;
 
     /// Stable memo key of a candidate: a hash of the clamped candidate
     /// plus the evaluation context (workload identity, objective,
@@ -156,7 +163,9 @@ class BiLevelExplorer
     Objective objective_;
     ExplorerOptions options_;
     StableHash context_hash_;  ///< premixed non-candidate inputs
-    mutable std::unique_ptr<runtime::EvalCache<EvaluatedDesign>> cache_;
+    mutable std::unique_ptr<
+        runtime::EvalCache<std::shared_ptr<const EvaluatedDesign>>>
+        cache_;
     // The constructor sets exactly one of the two.
     std::optional<MappingGrid> grid_;     ///< fixed hardware
     std::optional<GeometryTable> table_;  ///< searched hardware

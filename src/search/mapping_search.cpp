@@ -58,6 +58,7 @@ class EnvBudgets
     build()
     {
         built_ = true;
+        budgets_.reserve(envs_.size());
         for (const auto& env : envs_) {
             if (sim::effective_power(env) <= 0.0) {
                 leakage_dominated_ = true;

@@ -5,6 +5,7 @@
 #include "runtime/eval_cache.hpp"
 
 #include <atomic>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -79,6 +80,24 @@ TEST(EvalCacheTest, LruEvictionDropsColdestEntry)
     EXPECT_TRUE(cache.lookup(key_of(3)).has_value());
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+TEST(EvalCacheTest, SharedValueOutlivesItsEviction)
+{
+    // The explorer's memo holds shared records: eviction drops only the
+    // memo's reference, never one a caller holds.
+    EvalCache<std::shared_ptr<const std::string>> cache(1);
+    cache.insert(key_of(1),
+                 std::make_shared<const std::string>("first record"));
+    const auto held = cache.lookup(key_of(1));
+    ASSERT_TRUE(held.has_value());
+    cache.insert(key_of(2),
+                 std::make_shared<const std::string>("second record"));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.lookup(key_of(1)).has_value());
+    ASSERT_NE(*held, nullptr);
+    EXPECT_EQ(**held, "first record");
+    EXPECT_EQ(held->use_count(), 1);
 }
 
 TEST(EvalCacheTest, CapacityIsBoundedUnderChurn)

@@ -108,7 +108,7 @@ TEST(BiLevelExploreTest, FindsFeasibleDesign)
     // Pareto points must come from feasible history entries.
     for (const auto& point : result.pareto) {
         EXPECT_LT(point.tag, result.history.size());
-        EXPECT_TRUE(result.history[point.tag].feasible);
+        EXPECT_TRUE(result.history[point.tag]->feasible);
     }
 }
 

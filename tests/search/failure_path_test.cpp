@@ -70,9 +70,9 @@ TEST(FailurePathTest, ZeroHarvestEnvironmentDegradesInsteadOfAborting)
     EXPECT_TRUE(static_cast<bool>(result.best.failure));
     EXPECT_TRUE(result.pareto.empty());
     for (const auto& design : result.history) {
-        EXPECT_FALSE(design.feasible);
-        EXPECT_TRUE(static_cast<bool>(design.failure));
-        EXPECT_GE(design.score, 1e10);
+        EXPECT_FALSE(design->feasible);
+        EXPECT_TRUE(static_cast<bool>(design->failure));
+        EXPECT_GE(design->score, 1e10);
     }
 }
 
@@ -117,8 +117,9 @@ TEST(FailurePathTest, FaultedSearchIsDeterministicAcrossThreads)
     EXPECT_EQ(a.best.score, b.best.score);
     ASSERT_EQ(a.history.size(), b.history.size());
     for (std::size_t i = 0; i < a.history.size(); ++i) {
-        EXPECT_EQ(a.history[i].score, b.history[i].score) << i;
-        EXPECT_EQ(a.history[i].mean_latency_s, b.history[i].mean_latency_s)
+        EXPECT_EQ(a.history[i]->score, b.history[i]->score) << i;
+        EXPECT_EQ(a.history[i]->mean_latency_s,
+                  b.history[i]->mean_latency_s)
             << i;
     }
 }

@@ -144,19 +144,49 @@ explorer_options(int threads, std::size_t cache_capacity)
     return options;
 }
 
+/// The whole record campaigns and the CLI print: candidate, score,
+/// per-layer mappings and costs, and every environment's outcome.
+void
+expect_identical_design(const EvaluatedDesign& a, const EvaluatedDesign& b)
+{
+    EXPECT_EQ(a.score, b.score);
+    EXPECT_EQ(a.feasible, b.feasible);
+    EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+    EXPECT_EQ(a.failure.code, b.failure.code);
+    EXPECT_EQ(a.candidate.solar_cm2, b.candidate.solar_cm2);
+    EXPECT_EQ(a.candidate.capacitance_f, b.candidate.capacitance_f);
+    ASSERT_EQ(a.mapping.mappings.size(), b.mapping.mappings.size());
+    for (std::size_t l = 0; l < a.mapping.mappings.size(); ++l) {
+        const auto& ma = a.mapping.mappings[l];
+        const auto& mb = b.mapping.mappings[l];
+        EXPECT_EQ(ma.dataflow, mb.dataflow) << l;
+        EXPECT_EQ(ma.tiles_k, mb.tiles_k) << l;
+        EXPECT_EQ(ma.tiles_y, mb.tiles_y) << l;
+        EXPECT_EQ(ma.tiles_n, mb.tiles_n) << l;
+    }
+    EXPECT_EQ(a.mapping.cost.total_energy_j(),
+              b.mapping.cost.total_energy_j());
+    EXPECT_EQ(a.mapping.cost.n_tile, b.mapping.cost.n_tile);
+    EXPECT_EQ(a.mapping.violation_j, b.mapping.violation_j);
+    ASSERT_EQ(a.per_env.size(), b.per_env.size());
+    for (std::size_t e = 0; e < a.per_env.size(); ++e) {
+        EXPECT_EQ(a.per_env[e].latency_s, b.per_env[e].latency_s) << e;
+        EXPECT_EQ(a.per_env[e].failure.code, b.per_env[e].failure.code)
+            << e;
+    }
+}
+
 void
 expect_identical_exploration(const ExplorationResult& a,
                              const ExplorationResult& b)
 {
     EXPECT_EQ(a.evaluations, b.evaluations);
-    EXPECT_EQ(a.best.score, b.best.score);
-    EXPECT_EQ(a.best.candidate.solar_cm2, b.best.candidate.solar_cm2);
-    EXPECT_EQ(a.best.candidate.capacitance_f,
-              b.best.candidate.capacitance_f);
+    expect_identical_design(a.best, b.best);
     ASSERT_EQ(a.history.size(), b.history.size());
     for (std::size_t i = 0; i < a.history.size(); ++i) {
-        EXPECT_EQ(a.history[i].score, b.history[i].score) << i;
-        EXPECT_EQ(a.history[i].mean_latency_s, b.history[i].mean_latency_s)
+        EXPECT_EQ(a.history[i]->score, b.history[i]->score) << i;
+        EXPECT_EQ(a.history[i]->mean_latency_s,
+                  b.history[i]->mean_latency_s)
             << i;
     }
     ASSERT_EQ(a.pareto.size(), b.pareto.size());
@@ -237,6 +267,10 @@ TEST(ParallelDeterminismTest, RepeatedExploreIsServedFromCache)
     EXPECT_EQ(second.cache.hits,
               static_cast<std::uint64_t>(second.evaluations));
     expect_identical_exploration(first, second);
+    // A hit shares the memo's record; it does not copy it.
+    ASSERT_EQ(first.history.size(), second.history.size());
+    for (std::size_t i = 0; i < first.history.size(); ++i)
+        EXPECT_EQ(first.history[i].get(), second.history[i].get()) << i;
 }
 
 TEST(ParallelDeterminismTest, CampaignMatchesSerialAtTwoThreads)
