@@ -9,6 +9,7 @@
 /// brown-outs) the two converge, since most saves become forced.
 
 #include <iostream>
+#include <string>
 
 #include "common/bench_util.hpp"
 #include "common/string_utils.hpp"
@@ -101,6 +102,14 @@ main()
                                format_si(result.e_ckpt_j, "J", 1),
                                format_si(result.latency_s, "s"),
                                std::to_string(result.cycles)});
+                // The shape compares the policies at the largest and
+                // the smallest panel, without exceptions.
+                if (rate == 0.0 && (panel == 30.0 || panel == 2.0)) {
+                    bench::headline(std::string("ckpt_energy_j/") + label +
+                                        "/" + format_fixed(panel, 0) +
+                                        "cm2",
+                                    result.e_ckpt_j);
+                }
             }
         }
     }

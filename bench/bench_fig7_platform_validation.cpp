@@ -137,6 +137,7 @@ main()
         std::cout << "mean model-vs-platform deviation: "
                   << format_percent(summarize(diffs).mean)
                   << " -> the model tracks the platform trend.\n";
+        bench::headline("mean_deviation", summarize(diffs).mean);
     }
 
     // Speedups against the iNAS design point (C = 1 mF at 3 cm^2).
@@ -151,9 +152,10 @@ main()
 
     std::cout << "\nSpeedup vs iNAS point (C=1 mF, same 3 cm^2 panel): ";
     if (inas.feasible && best_same < 1e300) {
-        std::cout << format_percent(relative_improvement(
-                         inas.measured_latency_s, best_same))
-                  << " faster (paper: 79.7%).\n";
+        const double speedup =
+            relative_improvement(inas.measured_latency_s, best_same);
+        std::cout << format_percent(speedup) << " faster (paper: 79.7%).\n";
+        bench::headline("speedup_vs_inas/same_panel", speedup);
     } else {
         std::cout << "n/a\n";
     }
@@ -216,10 +218,10 @@ main()
 
     std::cout << "Speedup with a bigger 15 cm^2 panel: ";
     if (inas.feasible && big_panel.feasible) {
-        std::cout << format_percent(relative_improvement(
-                         inas.measured_latency_s,
-                         big_panel.measured_latency_s))
-                  << " faster (paper: 82.3%).\n";
+        const double speedup = relative_improvement(
+            inas.measured_latency_s, big_panel.measured_latency_s);
+        std::cout << format_percent(speedup) << " faster (paper: 82.3%).\n";
+        bench::headline("speedup_vs_inas/big_panel", speedup);
     } else {
         std::cout << "n/a\n";
     }

@@ -9,6 +9,7 @@
 /// calibration values.
 
 #include <iostream>
+#include <string>
 
 #include "common/bench_util.hpp"
 #include "common/math_utils.hpp"
@@ -66,6 +67,8 @@ main()
         std::cout << "nominal search infeasible; aborting\n";
         return 1;
     }
+    // The drifts below are relative to this.
+    bench::headline("nominal_lat_sp", nominal.lat_sp);
 
     struct Variant {
         const char* label;
@@ -89,11 +92,16 @@ main()
             table.add_row({variant.label, "-", "-", "-", "infeasible"});
             continue;
         }
+        const double drift =
+            (outcome.lat_sp - nominal.lat_sp) / nominal.lat_sp;
         table.add_row({variant.label, format_fixed(outcome.sp_cm2, 1),
                        format_si(outcome.cap_f, "F", 0),
                        format_fixed(outcome.lat_sp, 2),
-                       format_percent((outcome.lat_sp - nominal.lat_sp) /
-                                      nominal.lat_sp)});
+                       format_percent(drift)});
+        if (std::string(variant.label) != "nominal") {
+            bench::headline(std::string("lat_sp_drift/") + variant.label,
+                            drift);
+        }
     }
     table.print(std::cout);
 

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,16 +52,21 @@ struct LoadOptions {
     bool verify = true;  ///< replay against a 1-thread reference
 };
 
+/// Prints the usage to \p out: stdout for --help, stderr on a usage
+/// error.
 void
-usage(const char* argv0)
+usage(std::FILE* out, const char* argv0)
 {
-    std::printf("usage: %s [--host addr] [--port n] [--requests n]\n"
-                "          [--clients n] [--threads n] [--seed n]\n"
-                "          [--no-verify]\n",
-                argv0);
+    std::fprintf(out,
+                 "usage: %s [--host addr] [--port n] [--requests n]\n"
+                 "          [--clients n] [--threads n] [--seed n]\n"
+                 "          [--no-verify]\n",
+                 argv0);
 }
 
-bool
+/// Parses \p argv into \p options. Returns the exit code when there is
+/// nothing to run: 0 after --help, 2 after an unknown option.
+std::optional<int>
 parse_args(int argc, char** argv, LoadOptions& options)
 {
     for (int i = 1; i < argc; ++i) {
@@ -90,18 +96,18 @@ parse_args(int argc, char** argv, LoadOptions& options)
         } else if (arg == "--no-verify") {
             options.verify = false;
         } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return false;
+            usage(stdout, argv[0]);
+            return 0;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(argv[0]);
-            return false;
+            usage(stderr, argv[0]);
+            return 2;
         }
     }
     if (options.requests < 1 || options.clients < 1 ||
         options.threads < 1)
         fatal("--requests, --clients and --threads must be >= 1");
-    return true;
+    return std::nullopt;
 }
 
 /// One deterministic request: its type and the exact wire payload
@@ -174,8 +180,8 @@ int
 main(int argc, char** argv)
 {
     LoadOptions options;
-    if (!parse_args(argc, argv, options))
-        return 2;
+    if (const std::optional<int> code = parse_args(argc, argv, options))
+        return *code;
 
     bench::begin_report(
         "serve_load",

@@ -137,10 +137,13 @@ parse_shared_flag(const std::string& arg,
     return true;
 }
 
+/// Prints the flag mode's usage to \p out: stdout for --help, stderr
+/// on a usage error, so the text never lands in redirected output.
 void
-usage(const char* argv0)
+usage(std::FILE* out, const char* argv0)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage: %s [--model <zoo|file.model>] [--space existing|future]\n"
         "          [--objective lat|sp|latsp] [--sp-limit cm2]\n"
         "          [--lat-limit s] [--population n] [--generations n]\n"
@@ -180,11 +183,11 @@ parse_args(int argc, char** argv, CliOptions& options)
         } else if (arg == "--csv") {
             options.csv = true;
         } else if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
+            usage(stdout, argv[0]);
             return 0;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            usage(argv[0]);
+            usage(stderr, argv[0]);
             return 2;
         }
     }
@@ -300,10 +303,12 @@ run_cli(const CliOptions& options)
 
 // ---- `campaign` subcommand -----------------------------------------------
 
+/// Prints the campaign subcommand's usage to \p out, as usage() does.
 void
-campaign_usage(const char* argv0)
+campaign_usage(std::FILE* out, const char* argv0)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage: %s campaign [--model <zoo|file.model>]\n"
         "          [--space existing|future]\n"
         "          [--cases n] [--sp-limit cm2] [--lat-limit s]\n"
@@ -372,7 +377,7 @@ run_campaign_cli(int argc, char** argv, int first)
         if (parse_shared_flag(arg, next, shared))
             continue;
         if (arg == "--help" || arg == "-h") {
-            campaign_usage(argv[0]);
+            campaign_usage(stdout, argv[0]);
             return 0;
         } else if (arg == "--cases") {
             shared.spec.cases = parse_int_flag(arg, next());
@@ -384,7 +389,7 @@ run_campaign_cli(int argc, char** argv, int first)
             deterministic = true;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-            campaign_usage(argv[0]);
+            campaign_usage(stderr, argv[0]);
             return 2;
         }
     }

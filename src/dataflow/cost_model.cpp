@@ -1,11 +1,44 @@
 #include "dataflow/cost_model.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/logging.hpp"
 #include "dataflow/hardware_pass.hpp"
 
 namespace chrysalis::dataflow {
+
+void
+check_cost_params(const CostParams& params)
+{
+    if (params.n_pe < 1)
+        fatal("cost model: n_pe must be >= 1, got ", params.n_pe);
+    if (params.vm_bytes_per_pe < 1)
+        fatal("cost model: vm_bytes_per_pe must be >= 1, got ",
+              params.vm_bytes_per_pe);
+    if (params.element_bytes < 1)
+        fatal("cost model: element_bytes must be >= 1, got ",
+              params.element_bytes);
+    const auto positive = [](const char* name, double value) {
+        if (!(std::isfinite(value) && value > 0.0))
+            fatal("cost model: ", name, " must be > 0, got ", value);
+    };
+    positive("macs_per_s_per_pe", params.macs_per_s_per_pe);
+    positive("nvm_bytes_per_s", params.nvm_bytes_per_s);
+    const auto non_negative = [](const char* name, double value) {
+        if (!(std::isfinite(value) && value >= 0.0))
+            fatal("cost model: ", name, " must be >= 0, got ", value);
+    };
+    non_negative("e_mac_j", params.e_mac_j);
+    non_negative("e_vm_byte_j", params.e_vm_byte_j);
+    non_negative("p_mem_w_per_byte", params.p_mem_w_per_byte);
+    non_negative("e_nvm_read_byte_j", params.e_nvm_read_byte_j);
+    non_negative("e_nvm_write_byte_j", params.e_nvm_write_byte_j);
+    non_negative("p_pe_static_w", params.p_pe_static_w);
+    non_negative("exception_rate", params.exception_rate);
+    non_negative("ckpt_fixed_bytes", params.ckpt_fixed_bytes);
+    non_negative("pool_op_scale", params.pool_op_scale);
+}
 
 LayerCost
 analyze_layer(const dnn::Layer& layer, const LayerMapping& mapping,

@@ -17,6 +17,10 @@
 /// of the single-step model, and HardwareTerms hoists only whole
 /// sub-expressions C++ evaluates before the expression containing them,
 /// so both steps together are bit-identical to analyzing in one step.
+///
+/// Beside the pass, EnergyFloor bounds its E_all from below using a
+/// hardware-free FloorGeometry and a few per-hardware coefficients, so
+/// a ranking can rule a candidate out without running its pass.
 
 #ifndef CHRYSALIS_DATAFLOW_HARDWARE_PASS_HPP
 #define CHRYSALIS_DATAFLOW_HARDWARE_PASS_HPP
@@ -178,10 +182,17 @@ geometry(const dnn::Layer& layer, const LayerMapping& mapping)
     return geometry;
 }
 
+/// fatal() unless \p params describe a hardware the cost model and
+/// EnergyFloor can run: n_pe, vm_bytes_per_pe and element_bytes >= 1,
+/// the throughput and the NVM bandwidth finite and > 0, and every energy,
+/// power, rate, scale and checkpoint size finite and >= 0. Out of line,
+/// so the inline HardwareTerms stays small.
+void check_cost_params(const CostParams& params);
+
 /// A hardware's CostParams plus the whole sub-expressions of Eqs. 4-6
 /// that read nothing else, built once per hardware. Every pass and
-/// ranking builds one, so the hardware is checked here: fatal() unless
-/// n_pe and vm_bytes_per_pe are both >= 1.
+/// ranking builds one, so the hardware is checked here
+/// (check_cost_params()).
 struct HardwareTerms {
     explicit HardwareTerms(const CostParams& cost_params)
         : params(cost_params),
@@ -198,11 +209,7 @@ struct HardwareTerms {
           nvm_pair_energy_j(cost_params.e_nvm_read_byte_j +
                             cost_params.e_nvm_write_byte_j)
     {
-        if (cost_params.n_pe < 1)
-            fatal("cost model: n_pe must be >= 1, got ", cost_params.n_pe);
-        if (cost_params.vm_bytes_per_pe < 1)
-            fatal("cost model: vm_bytes_per_pe must be >= 1, got ",
-                  cost_params.vm_bytes_per_pe);
+        check_cost_params(cost_params);
     }
 
     CostParams params;
@@ -406,6 +413,124 @@ hardware_pass(const LayerGeometry& geometry, const HardwareTerms& terms)
         return hardware_pass<decltype(dataflow)::value>(geometry, terms);
     });
 }
+
+// --- Energy floor -----------------------------------------------------------
+// A lower bound on hardware_pass()'s E_all that runs none of its
+// divisions, so a ranking can rule a candidate out without its pass.
+// Each term is a pass term with every hardware-dependent factor at the
+// value that makes it smallest; given non-negative energies, powers and
+// rates (HardwareTerms checks them), each bound below holds for the
+// pass's rounded values too, since rounding is monotonic:
+//   - compute energy: exact;
+//   - NVM traffic: chunked_sweeps() >= 1, so each tile reads its inputs
+//     and weights at least once; outputs are written exactly once. The
+//     byte counts are integers below 2^53, so the pass truncates nothing;
+//   - VM accesses: min(spatial, multicast_reuse) <= multicast_reuse (full
+//     multicast), and at least one partial-sum spill (passes >= 1);
+//   - checkpoints: live_bytes >= 0, so N_ckpt >= (int) ckpt_fixed_bytes;
+//   - static energy: utilization <= 1 bounds compute time below by its
+//     full-utilization value, the body takes at least the larger of
+//     compute and NVM time (equal with overlapped transfers), and the
+//     checkpoint time is at least its fixed-bytes value.
+
+/// The hardware-free half of the floor of one geometry record, in
+/// elements and operations. An embedding's record is all zeros, so its
+/// floor is 0 and a ranking never skips it: its pass has no compute, VM,
+/// static or checkpoint energy for the floor's terms to bound.
+struct FloorGeometry {
+    double macs = 0.0;      ///< MACs of any layer but a pool
+    double pool_ops = 0.0;  ///< a pool's window ops, at pool_op_scale
+    double n_tile = 0.0;    ///< N_tile
+    double nvm_read_elems = 0.0;   ///< (inputs + weights) * N_tile
+    double nvm_write_elems = 0.0;  ///< outputs * N_tile
+    /// VM accesses with full multicast and one partial-sum spill.
+    double vm_elems = 0.0;
+};
+
+/// The floor's hardware-free terms of \p geometry.
+inline FloorGeometry
+floor_geometry(const LayerGeometry& geometry)
+{
+    FloorGeometry floor;
+    if (geometry.kind == dnn::LayerKind::kEmbedding)
+        return floor;
+    const double macs = static_cast<double>(geometry.macs);
+    (geometry.kind == dnn::LayerKind::kPool ? floor.pool_ops : floor.macs) =
+        macs;
+    floor.n_tile = static_cast<double>(geometry.n_tile);
+    floor.nvm_read_elems =
+        (geometry.input_elems + geometry.weight_elems) * floor.n_tile;
+    floor.nvm_write_elems = geometry.output_elems * floor.n_tile;
+    const bool multicast =
+        geometry.dataflow == Dataflow::kWeightStationary ||
+        geometry.dataflow == Dataflow::kOutputStationary;
+    floor.vm_elems = geometry.fixed_reads + geometry.psum_accesses +
+                     (multicast ? macs / geometry.multicast_reuse : 0.0);
+    return floor;
+}
+
+/// The floor's per-hardware coefficients, built once per ranking.
+/// operator() returns the floor shrunk by kMargin: the floor groups and
+/// rounds its terms unlike the pass, so the two can differ by a few ulps
+/// (relative error under 1e-14 over the ~20 operations of either), and
+/// a margin of 1e-9 covers that many times over, so the result is never
+/// above the pass's total_energy_j().
+class EnergyFloor
+{
+  public:
+    static constexpr double kMargin = 1.0 - 1e-9;
+
+    explicit EnergyFloor(const HardwareTerms& terms)
+    {
+        const CostParams& params = terms.params;
+        // The pass truncates N_ckpt to whole bytes.
+        const double ckpt_fixed_bytes = std::floor(params.ckpt_fixed_bytes);
+        e_mac_j_ = params.e_mac_j;
+        e_pool_op_j_ = params.pool_op_scale * params.e_mac_j;
+        s_per_mac_ = 1.0 / terms.pe_throughput;
+        s_per_pool_op_ = params.pool_op_scale / terms.pe_throughput;
+        e_vm_elem_j_ = terms.elem * params.e_vm_byte_j;
+        e_read_elem_j_ = terms.elem * params.e_nvm_read_byte_j;
+        e_write_elem_j_ = terms.elem * params.e_nvm_write_byte_j;
+        s_per_nvm_elem_ = terms.elem / params.nvm_bytes_per_s;
+        static_power_w_ = terms.static_power_w;
+        // E_ckpt and static power over the checkpoint time, per tile.
+        e_tile_j_ = terms.exception_factor * ckpt_fixed_bytes *
+                    (terms.nvm_pair_energy_j +
+                     2.0 * terms.static_power_w / params.nvm_bytes_per_s);
+    }
+
+    /// At most hardware_pass(geometry, terms).total_energy_j() for the
+    /// geometry record \p floor was built from.
+    double
+    operator()(const FloorGeometry& floor) const
+    {
+        const double compute_s =
+            floor.macs * s_per_mac_ + floor.pool_ops * s_per_pool_op_;
+        const double nvm_s =
+            (floor.nvm_read_elems + floor.nvm_write_elems) * s_per_nvm_elem_;
+        const double energy_j =
+            floor.macs * e_mac_j_ + floor.pool_ops * e_pool_op_j_ +
+            floor.vm_elems * e_vm_elem_j_ +
+            floor.nvm_read_elems * e_read_elem_j_ +
+            floor.nvm_write_elems * e_write_elem_j_ +
+            floor.n_tile * e_tile_j_ +
+            std::max(compute_s, nvm_s) * static_power_w_;
+        return energy_j * kMargin;
+    }
+
+  private:
+    double e_mac_j_ = 0.0;
+    double e_pool_op_j_ = 0.0;
+    double s_per_mac_ = 0.0;
+    double s_per_pool_op_ = 0.0;
+    double e_vm_elem_j_ = 0.0;
+    double e_read_elem_j_ = 0.0;
+    double e_write_elem_j_ = 0.0;
+    double s_per_nvm_elem_ = 0.0;
+    double static_power_w_ = 0.0;
+    double e_tile_j_ = 0.0;
+};
 
 }  // namespace chrysalis::dataflow
 

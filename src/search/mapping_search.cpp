@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -219,12 +220,10 @@ publish_search(std::int64_t evaluations)
 }
 
 void
-publish_analyses(std::int64_t analyses)
+publish_count(std::string_view name, std::int64_t count)
 {
-    if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/inner/analyses")
-            .add(static_cast<std::uint64_t>(analyses));
-    }
+    if (obs::MetricsRegistry* registry = obs::metrics())
+        registry->counter(name).add(static_cast<std::uint64_t>(count));
 }
 
 std::vector<dataflow::Dataflow>
@@ -266,23 +265,6 @@ distinct_shapes(const dnn::Model& model, AddShape&& add_shape)
     return layer_shape;
 }
 
-/// Runs the hardware pass of \p dataflow over the \p count geometry
-/// records at \p geometry, calling visit(i, LayerCost) for the i-th: one
-/// switch per block, so the block's loop inlines one pass.
-template <class Visit>
-void
-run_block(dataflow::Dataflow dataflow, const dataflow::LayerGeometry* geometry,
-          std::size_t count, const dataflow::HardwareTerms& terms,
-          Visit&& visit)
-{
-    dataflow::with_dataflow(dataflow, [&](auto tag) {
-        for (std::size_t i = 0; i < count; ++i) {
-            visit(i, dataflow::hardware_pass<decltype(tag)::value>(
-                         geometry[i], terms));
-        }
-    });
-}
-
 }  // namespace
 
 GeometryTable::GeometryTable(const dnn::Model& model,
@@ -301,8 +283,12 @@ GeometryTable::GeometryTable(const dnn::Model& model,
             panic("GeometryTable: no candidates for ", layer.name);
         shape.block = shape.mappings.size() / dataflows_.size();
         shape.geometry.reserve(shape.mappings.size());
-        for (const auto& mapping : shape.mappings)
+        shape.floors.reserve(shape.mappings.size());
+        for (const auto& mapping : shape.mappings) {
             shape.geometry.push_back(dataflow::geometry(layer, mapping));
+            shape.floors.push_back(
+                dataflow::floor_geometry(shape.geometry.back()));
+        }
         shapes_.push_back(std::move(shape));
     });
 }
@@ -325,6 +311,7 @@ GeometryTable::rank(const hw::InferenceHardware& hardware,
         fatal("GeometryTable::rank: at least one energy environment "
               "required");
     const dataflow::HardwareTerms terms(hardware.cost_params());
+    const dataflow::EnergyFloor energy_floor(terms);
     const auto dataflows = supported_dataflows(hardware);
 
     // Rank each shape's grid once, in first-occurrence order and the
@@ -338,6 +325,7 @@ GeometryTable::rank(const hw::InferenceHardware& hardware,
     std::vector<Choice> chosen;
     chosen.reserve(shapes_.size());
     std::int64_t analyses = 0;
+    std::int64_t bounded = 0;
     for (const Shape& shape : shapes_) {
         // The hardware's first candidate seeds the ranking and is then
         // offered again, which never displaces it.
@@ -349,13 +337,23 @@ GeometryTable::rank(const hw::InferenceHardware& hardware,
                   budgets)};
         for (const dataflow::Dataflow dataflow : dataflows) {
             const std::size_t block = block_of(dataflow) * shape.block;
-            run_block(dataflow, &shape.geometry[block], shape.block, terms,
-                      [&](std::size_t i, const dataflow::LayerCost& cost) {
-                          if (!best.outranks(cost.total_energy_j())) {
-                              best.offer(block + i,
-                                         Score(score_of(cost), budgets));
-                          }
-                      });
+            // One switch per block, so the block's loop inlines one pass.
+            dataflow::with_dataflow(dataflow, [&](auto tag) {
+                for (std::size_t c = block; c < block + shape.block; ++c) {
+                    // The floor is at most the pass's E_all, so a
+                    // candidate whose floor a feasible best outranks
+                    // would be outranked after its pass too.
+                    if (best.outranks(energy_floor(shape.floors[c]))) {
+                        ++bounded;
+                        continue;
+                    }
+                    const dataflow::LayerCost cost =
+                        dataflow::hardware_pass<decltype(tag)::value>(
+                            shape.geometry[c], terms);
+                    if (!best.outranks(cost.total_energy_j()))
+                        best.offer(c, Score(score_of(cost), budgets));
+                }
+            });
         }
         const auto ranked =
             static_cast<std::int64_t>(shape.block * dataflows.size());
@@ -365,7 +363,8 @@ GeometryTable::rank(const hw::InferenceHardware& hardware,
              dataflow::hardware_pass(shape.geometry[best.index], terms),
              best.score.violation, ranked});
     }
-    publish_analyses(analyses);
+    publish_count("search/inner/analyses", analyses);
+    publish_count("search/inner/bounded", bounded);
 
     MappingSearchResult result = take_choices(chosen, layer_shape_);
     check_nvm_capacity(result, hardware.nvm_capacity_bytes(), weight_bytes_,
@@ -409,7 +408,7 @@ MappingGrid::MappingGrid(const dnn::Model& model,
         analyses += static_cast<std::int64_t>(shape.mappings.size());
         shapes_.push_back(std::move(shape));
     });
-    publish_analyses(analyses);
+    publish_count("search/inner/analyses", analyses);
 }
 
 MappingSearchResult

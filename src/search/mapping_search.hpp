@@ -15,7 +15,8 @@
 /// dataflow/hardware_pass.hpp). A GeometryTable holds the hardware-free
 /// geometry of each distinct layer shape's tiling grid; ranking it runs
 /// the hardware pass of every candidate fused with Eq. 8 for one
-/// hardware and one set of environments. search_mappings() builds a
+/// hardware and one set of environments, except for the candidates an
+/// exact energy floor rules out first. search_mappings() builds a
 /// table and ranks it once; an explorer that searches the hardware
 /// builds one table and ranks it per candidate. A MappingGrid, for a
 /// caller whose hardware never changes, runs the hardware pass once and
@@ -55,7 +56,9 @@ struct MappingSearchResult {
     /// when a layer repeats an earlier layer's shape or the grid was
     /// scored by an earlier call, so the count does not depend on
     /// either. The metrics counter `search/inner/analyses` counts the
-    /// hardware-pass evaluations actually made.
+    /// candidates of each distinct shape actually ranked, and
+    /// `search/inner/bounded` those of them a GeometryTable ruled out
+    /// by their energy floor, without a hardware pass.
     std::int64_t evaluations = 0;
 };
 
@@ -70,10 +73,12 @@ struct CandidateScore {
 };
 
 /// The search's hardware-free table for one (model, grid width,
-/// dataflow list): the dataflow::LayerGeometry of every candidate of
-/// every distinct layer shape (dnn::same_shape), in
-/// dataflow::enumerate_mappings() order, so one block of candidates per
-/// dataflow. Built once; each ranking runs only the hardware pass.
+/// dataflow list): the dataflow::LayerGeometry and the
+/// dataflow::FloorGeometry of every candidate of every distinct layer
+/// shape (dnn::same_shape), in dataflow::enumerate_mappings() order, so
+/// one block of candidates per dataflow. Built once; each ranking runs
+/// only the hardware pass, and skips it for a candidate whose energy
+/// floor already exceeds a feasible best's E_all.
 ///
 /// Ranking is const and keeps its Eq. 8 budgets on its own stack, so
 /// several threads may rank one table at once. The table holds no
@@ -88,12 +93,16 @@ class GeometryTable
                   const std::vector<dataflow::Dataflow>& dataflows,
                   std::size_t max_candidates_per_dim);
 
-    /// search_mappings()'s result for \p hardware against \p envs: the
-    /// hardware pass over every candidate of the hardware's dataflows,
-    /// walked in its supported_dataflows() order and counted in
-    /// `search/inner/analyses`, fused with the ranking. The table must
-    /// hold each of those dataflows (panic() otherwise); \p envs must not
-    /// be empty.
+    /// search_mappings()'s result for \p hardware against \p envs: every
+    /// candidate of the hardware's dataflows, walked in its
+    /// supported_dataflows() order and counted in
+    /// `search/inner/analyses`, ranked as its hardware pass is run. Once
+    /// the best so far is feasible, a candidate whose
+    /// dataflow::EnergyFloor exceeds the best's E_all is ruled out
+    /// without its pass and counted in `search/inner/bounded`; its pass
+    /// could only have shown it ranks lower, so the result is the same.
+    /// The table must hold each of those dataflows (panic() otherwise);
+    /// \p envs must not be empty.
     MappingSearchResult rank(const hw::InferenceHardware& hardware,
                              const std::vector<sim::EnergyEnv>& envs) const;
 
@@ -102,6 +111,7 @@ class GeometryTable
     struct Shape {
         std::vector<dataflow::LayerMapping> mappings;
         std::vector<dataflow::LayerGeometry> geometry;  ///< per mapping
+        std::vector<dataflow::FloorGeometry> floors;    ///< per mapping
         std::size_t block = 0;  ///< candidates per dataflow
     };
 

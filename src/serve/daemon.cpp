@@ -31,12 +31,13 @@ handle_shutdown_signal(int)
         ::write(g_signal_pipe[1], &byte, 1);
 }
 
-}  // namespace
-
+/// Prints the serve front-end's flag reference to \p out: stdout for
+/// --help, stderr on a usage error.
 void
-serve_usage(const char* argv0)
+serve_usage(std::FILE* out, const char* argv0)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage: %s [--host addr] [--port n] [--threads n]\n"
         "          [--worker-id id]\n"
         "          [--cache-capacity n] [--max-connections n]\n"
@@ -56,10 +57,13 @@ serve_usage(const char* argv0)
         argv0);
 }
 
+/// Prints the call front-end's flag reference to \p out, as
+/// serve_usage() does.
 void
-call_usage(const char* argv0)
+call_usage(std::FILE* out, const char* argv0)
 {
-    std::printf(
+    std::fprintf(
+        out,
         "usage: %s [--host addr] --port n --type\n"
         "          eval_design_point|eval_mapping|sim_step"
         "|server_stats|health\n"
@@ -70,6 +74,8 @@ call_usage(const char* argv0)
         "failure or an \"ok\":0 reply.\n",
         argv0);
 }
+
+}  // namespace
 
 int
 run_serve_cli(int argc, char** argv, int first)
@@ -88,7 +94,7 @@ run_serve_cli(int argc, char** argv, int first)
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
-            serve_usage(argv[0]);
+            serve_usage(stdout, argv[0]);
             return 0;
         } else if (arg == "--host") {
             options.server.host = next();
@@ -125,7 +131,7 @@ run_serve_cli(int argc, char** argv, int first)
         } else if (arg == "--trace-out") {
             options.trace_out = next();
         } else {
-            serve_usage(argv[0]);
+            serve_usage(stderr, argv[0]);
             fatal("unknown option ", arg);
         }
     }
@@ -210,7 +216,7 @@ run_call_cli(int argc, char** argv, int first)
             return argv[++i];
         };
         if (arg == "--help" || arg == "-h") {
-            call_usage(argv[0]);
+            call_usage(stdout, argv[0]);
             return 0;
         } else if (arg == "--host") {
             host = next();
@@ -223,7 +229,7 @@ run_call_cli(int argc, char** argv, int first)
         } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
             params[arg.substr(2)] = next();
         } else {
-            call_usage(argv[0]);
+            call_usage(stderr, argv[0]);
             fatal("unknown argument ", arg);
         }
     }

@@ -21,12 +21,6 @@ struct ServeCliOptions {
     std::string trace_out;    ///< Chrome trace path ("" = none)
 };
 
-/// Prints the flag reference for the serve front-end.
-void serve_usage(const char* argv0);
-
-/// Prints the flag reference for the call front-end.
-void call_usage(const char* argv0);
-
 /// Runs the daemon: start the server, announce the bound address on
 /// stdout ("chrysalis_served listening on HOST:PORT"), block until
 /// SIGINT or SIGTERM, drain, report totals and write the optional

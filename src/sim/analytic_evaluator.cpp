@@ -1,9 +1,7 @@
 #include "sim/analytic_evaluator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
-#include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace chrysalis::sim {
@@ -58,23 +56,6 @@ double
 cycle_budget(const EnergyEnv& env, double tile_time_s)
 {
     return cycle_budget_terms(env).for_tile(tile_time_s);
-}
-
-std::int64_t
-min_tiles_eq9(double e_body_j, double t_body_s, double e_ckpt_tile_j,
-              const EnergyEnv& env)
-{
-    if (e_body_j < 0.0 || t_body_s < 0.0 || e_ckpt_tile_j < 0.0)
-        fatal("min_tiles_eq9: negative inputs");
-    const CycleBudget budget = cycle_budget_terms(env);
-    const double numerator = e_body_j - budget.p_charge_w * t_body_s;
-    const double denominator = budget.store_j - e_ckpt_tile_j;
-    if (numerator <= 0.0)
-        return 1;  // harvest alone powers the layer: no split required
-    if (denominator <= 0.0)
-        return -1;  // fixed per-tile overhead exceeds a whole cycle
-    return std::max<std::int64_t>(
-        1, static_cast<std::int64_t>(std::ceil(numerator / denominator)));
 }
 
 AnalyticResult

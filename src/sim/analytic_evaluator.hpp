@@ -90,27 +90,6 @@ CycleBudget cycle_budget_terms(const EnergyEnv& env);
 /// \p tile_time_s: cycle_budget_terms(env).for_tile(tile_time_s).
 double cycle_budget(const EnergyEnv& env, double tile_time_s);
 
-/// Closed-form lower bound on the number of intermittent tiles (Eq. 9).
-///
-/// The paper rearranges E_tile <= E_available (Eqs. 3, 4, 8) into
-///   N_tile >= (a3 + a4*N_mem) /
-///             (a1*C + k_eh*A_eh*T_df/N_PE - k_cap*C*T_df/N_PE - a2),
-/// i.e. the layer's divisible body energy over the per-cycle budget that
-/// remains after fixed per-tile overheads. In this framework's terms:
-///
-///   N_tile >= (E_body - P_eff * T_body) / (E_store - E_ckpt_tile)
-///
-/// where E_body/T_body are the layer's tiling-invariant energy/active
-/// time (numerator: what storage must bridge beyond concurrent harvest),
-/// E_store is the usable stored swing per cycle and E_ckpt_tile the
-/// fixed checkpoint overhead added to every tile.
-///
-/// \returns the minimum integer tile count (>= 1), or -1 when no finite
-/// tiling works (the denominator is <= 0: per-tile overhead alone
-/// exceeds a cycle).
-std::int64_t min_tiles_eq9(double e_body_j, double t_body_s,
-                           double e_ckpt_tile_j, const EnergyEnv& env);
-
 /// Evaluates a model cost against an energy environment.
 AnalyticResult analytic_evaluate(const dataflow::ModelCost& cost,
                                  const EnergyEnv& env);

@@ -2,7 +2,8 @@
 /// Oracle test for the two-step cost model (dataflow/hardware_pass.hpp):
 /// analyze_layer() and the per-dataflow hardware pass the mapping search
 /// ranks with must both match the single-step model they replace, field
-/// for field and bit for bit.
+/// for field and bit for bit. Property test of the energy floor the
+/// search skips passes by: never above the pass's E_all.
 
 #include "dataflow/hardware_pass.hpp"
 
@@ -17,6 +18,7 @@
 #include "dataflow/tiling.hpp"
 #include "dnn/model_zoo.hpp"
 #include "hw/accelerator.hpp"
+#include "hw/custom_hardware.hpp"
 #include "hw/msp430_lea.hpp"
 
 namespace chrysalis::dataflow {
@@ -353,6 +355,92 @@ TEST(HardwarePassOracleTest, BothStepsMatchTheSingleStepModel)
             << dnn::to_string(kind);
     }
     EXPECT_GT(compared, 100000);
+}
+
+TEST(EnergyFloorTest, NeverExceedsThePassEnergy)
+{
+    // The oracle's hardware, plus 2-byte elements with serial transfers,
+    // a fractional checkpoint size and a costlier pool op.
+    auto params = oracle_params();
+    CostParams custom = params.back();
+    custom.element_bytes = 2;
+    custom.overlap_transfers = false;
+    custom.ckpt_fixed_bytes = 40.5;
+    custom.pool_op_scale = 0.7;
+    params.push_back(hw::CustomHardware("custom", custom, all_dataflows())
+                         .cost_params());
+
+    std::vector<HardwareTerms> terms;
+    std::vector<EnergyFloor> floors;
+    for (const auto& p : params) {
+        terms.emplace_back(p);
+        floors.emplace_back(terms.back());
+    }
+    std::int64_t checked = 0;
+    std::int64_t pools = 0;
+    std::int64_t embeddings = 0;
+    double tightest = 0.0;  // largest floor / E_all
+    for (const dnn::Layer& layer : oracle_layers()) {
+        for (const std::size_t width : {5, 6, 8}) {
+            for (const LayerMapping& mapping :
+                 enumerate_mappings(layer, all_dataflows(), width)) {
+                const LayerGeometry shape = geometry(layer, mapping);
+                const FloorGeometry record = floor_geometry(shape);
+                for (std::size_t h = 0; h < params.size(); ++h) {
+                    const double floor = floors[h](record);
+                    const double energy =
+                        hardware_pass(shape, terms[h]).total_energy_j();
+                    ASSERT_LE(floor, energy)
+                        << layer.name << " " << to_string(mapping.dataflow)
+                        << " " << mapping.tiles_k << "x" << mapping.tiles_y
+                        << "x" << mapping.tiles_n << " on hardware " << h;
+                    if (layer.kind == dnn::LayerKind::kEmbedding) {
+                        // Never skipped: no feasible best is below 0.
+                        EXPECT_EQ(floor, 0.0) << layer.name;
+                        ++embeddings;
+                    } else {
+                        EXPECT_GT(floor, 0.0) << layer.name;
+                        tightest = std::max(tightest, floor / energy);
+                        pools += layer.kind == dnn::LayerKind::kPool;
+                    }
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(pools, 0);
+    EXPECT_GT(embeddings, 0);
+    EXPECT_GT(checked, 100000);
+    // The floor is tight somewhere (0.9999987 of E_all at worst), so a
+    // floor grown by 1e-5 fails the check above.
+    EXPECT_GT(tightest, 1.0 - 1e-5);
+}
+
+TEST(HardwareTermsDeathTest, NegativeOrNonFiniteTermsAreFatal)
+{
+    const auto with = [](auto set) {
+        CostParams params = hw::Msp430Lea().cost_params();
+        set(params);
+        return params;
+    };
+    EXPECT_EXIT(HardwareTerms(with([](CostParams& p) { p.e_mac_j = -1e-12; })),
+                ::testing::ExitedWithCode(1), "e_mac_j must be >= 0");
+    EXPECT_EXIT(
+        HardwareTerms(with([](CostParams& p) { p.p_pe_static_w = -1e-6; })),
+        ::testing::ExitedWithCode(1), "p_pe_static_w must be >= 0");
+    EXPECT_EXIT(
+        HardwareTerms(with([](CostParams& p) { p.exception_rate = -0.5; })),
+        ::testing::ExitedWithCode(1), "exception_rate must be >= 0");
+    EXPECT_EXIT(HardwareTerms(with([](CostParams& p) {
+                    p.pool_op_scale = std::nan("");
+                })),
+                ::testing::ExitedWithCode(1), "pool_op_scale must be >= 0");
+    EXPECT_EXIT(
+        HardwareTerms(with([](CostParams& p) { p.nvm_bytes_per_s = 0.0; })),
+        ::testing::ExitedWithCode(1), "nvm_bytes_per_s must be > 0");
+    EXPECT_EXIT(
+        HardwareTerms(with([](CostParams& p) { p.element_bytes = 0; })),
+        ::testing::ExitedWithCode(1), "element_bytes must be >= 1");
 }
 
 }  // namespace

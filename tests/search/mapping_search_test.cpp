@@ -471,6 +471,9 @@ TEST(MappingSearchTest, RepeatedShapesAreAnalyzedOnce)
     EXPECT_EQ(result.evaluations, 4100);
     EXPECT_EQ(registry.counter("search/inner/evaluations").value(), 4100u);
     EXPECT_EQ(registry.counter("search/inner/analyses").value(), 600u);
+    // Of those 600, the candidates the energy floor ruled out without a
+    // hardware pass.
+    EXPECT_EQ(registry.counter("search/inner/bounded").value(), 469u);
 }
 
 TEST(MappingSearchDeathTest, EmptyEnvironmentsAreFatal)

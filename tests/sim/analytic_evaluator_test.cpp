@@ -159,72 +159,6 @@ TEST(AnalyticEvaluateTest, InfeasibleCostPropagates)
               fault::FailureCode::kMappingInfeasible);
 }
 
-TEST(MinTilesEq9Test, HarvestSufficientNeedsNoSplit)
-{
-    // P_eff * T_body >= E_body: the layer runs off concurrent harvest.
-    const EnergyEnv env = make_env(20e-3);
-    EXPECT_EQ(min_tiles_eq9(1e-3, 1.0, 1e-6, env), 1);
-}
-
-TEST(MinTilesEq9Test, StorageBridgingSetsTheBound)
-{
-    // Deficit of (E_body - P_eff*T) must be covered in chunks of
-    // (store - ckpt) each.
-    const EnergyEnv env = make_env(2e-3);
-    const double store = cycle_store_energy(env);
-    const double p_eff = effective_power(env);
-    const double e_body = p_eff * 1.0 + 4.5 * store;  // 4.5 chunks over
-    EXPECT_EQ(min_tiles_eq9(e_body, 1.0, 0.0, env), 5);
-}
-
-TEST(MinTilesEq9Test, OverheadExceedingCycleIsHopeless)
-{
-    const EnergyEnv env = make_env(2e-3, 10e-6);
-    const double store = cycle_store_energy(env);
-    EXPECT_EQ(min_tiles_eq9(1.0, 0.1, store * 1.1, env), -1);
-}
-
-TEST(MinTilesEq9Test, BoundGrowsInDarkerEnvironments)
-{
-    // §III-B3: "in the case of low environmental energy each layer will
-    // be divided into a larger number of tiles."
-    const double e_body = 5e-3;
-    const double t_body = 1.0;
-    const auto bright = min_tiles_eq9(e_body, t_body, 10e-6,
-                                      make_env(8e-3));
-    const auto dark = min_tiles_eq9(e_body, t_body, 10e-6,
-                                    make_env(1e-3));
-    ASSERT_GT(bright, 0);
-    ASSERT_GT(dark, 0);
-    EXPECT_GE(dark, bright);
-}
-
-TEST(MinTilesEq9Test, ConsistentWithCycleBudget)
-{
-    // Splitting by the bound makes each tile fit its cycle budget; one
-    // tile fewer does not.
-    const EnergyEnv env = make_env(2e-3);
-    const double e_body = 20e-3;
-    const double t_body = 3.0;
-    const double ckpt = 20e-6;
-    const auto n = min_tiles_eq9(e_body, t_body, ckpt, env);
-    ASSERT_GT(n, 1);
-    const auto fits = [&](std::int64_t tiles) {
-        const double tile_e = e_body / static_cast<double>(tiles) + ckpt;
-        const double tile_t = t_body / static_cast<double>(tiles);
-        return tile_e <= cycle_budget(env, tile_t) + 1e-15;
-    };
-    EXPECT_TRUE(fits(n));
-    EXPECT_FALSE(fits(n - 1));
-}
-
-TEST(MinTilesEq9DeathTest, NegativeInputsAreFatal)
-{
-    const EnergyEnv env = make_env(2e-3);
-    EXPECT_EXIT(min_tiles_eq9(-1.0, 1.0, 0.0, env),
-                ::testing::ExitedWithCode(1), "negative");
-}
-
 TEST(AnalyticEvaluateTest, SystemEfficiencyIsFractionOfHarvest)
 {
     const auto cost = kws_cost();
