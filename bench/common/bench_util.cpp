@@ -107,9 +107,6 @@ void
 begin_report(const std::string& experiment, const std::string& description,
              bool attach_metrics, const std::string& slug)
 {
-    const char* toggle = std::getenv("CHRYSALIS_BENCH_REPORT");
-    if (toggle != nullptr && std::strcmp(toggle, "0") == 0)
-        return;
     BenchReport& report = report_state();
     MutexLock lock(report.mutex);
     if (report.active)

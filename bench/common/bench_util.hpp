@@ -40,7 +40,6 @@ struct Budget {
 /// experiment id, the headline() numbers and a metrics snapshot.
 ///
 /// Knobs (environment):
-///   CHRYSALIS_BENCH_REPORT=0           disable the report entirely
 ///   CHRYSALIS_BENCH_METRICS_OUT=FILE   override the report path
 ///   CHRYSALIS_BENCH_TRACE_OUT=FILE     also write a Chrome trace
 ///

@@ -20,16 +20,8 @@ campaign_case_key_hex(const CampaignCase& campaign_case,
         .add(static_cast<std::uint64_t>(index))
         .add(std::string_view(campaign_case.label));
 
-    const dnn::Model& model = campaign_case.model;
-    hash.add(std::string_view(model.name()))
-        .add(model.element_bytes())
-        .add(model.input().c)
-        .add(model.input().h)
-        .add(model.input().w)
-        .add(static_cast<std::uint64_t>(model.layer_count()))
-        .add(model.total_params())
-        .add(model.total_macs())
-        .add(model.total_data_bytes());
+    search::add_evaluation_context(hash, campaign_case.model,
+                                   campaign_case.objective, base);
 
     const search::DesignSpace& space = campaign_case.space;
     hash.add(static_cast<int>(space.family))
@@ -54,39 +46,10 @@ campaign_case_key_hex(const CampaignCase& campaign_case,
         .add(defaults.n_pe)
         .add(defaults.cache_bytes);
 
-    const search::Objective& objective = campaign_case.objective;
-    hash.add(static_cast<int>(objective.kind))
-        .add(objective.sp_limit_cm2)
-        .add(objective.lat_limit_s);
-
-    hash.add(static_cast<int>(base.strategy));
-    const search::OptimizerOptions& outer = base.outer;
-    hash.add(outer.population)
-        .add(outer.generations)
-        .add(outer.crossover_rate)
-        .add(outer.mutation_rate)
-        .add(outer.mutation_sigma)
-        .add(outer.tournament_size)
-        .add(outer.elitism)
-        .add(outer.seed);
-    hash.add(static_cast<std::uint64_t>(base.inner.max_candidates_per_dim));
-    hash.add_range(base.k_eh_envs);
-    const auto& cap = base.capacitor_base;
-    hash.add(cap.capacitance_f)
-        .add(cap.rated_voltage_v)
-        .add(cap.k_cap)
-        .add(cap.initial_voltage_v)
-        .add(cap.temperature_c)
-        .add(cap.leakage_doubling_c);
-    const auto& pmic = base.pmic;
-    hash.add(pmic.v_on)
-        .add(pmic.v_off)
-        .add(pmic.charge_efficiency)
-        .add(pmic.discharge_efficiency)
-        .add(pmic.quiescent_power_w);
-    hash.add(base.faults != nullptr);
-    if (base.faults != nullptr)
-        base.faults->add_to_hash(hash);
+    hash.add(static_cast<int>(base.strategy))
+        .add(base.outer.population)
+        .add(base.outer.generations)
+        .add(base.outer.seed);
 
     const CacheKey key = hash.key();
     char buffer[2 * 16 + 1];

@@ -51,9 +51,10 @@ struct JournalRecord {
 };
 
 /// Stable identity of one campaign case: hashes the case index, label,
-/// workload identity, design space, objective and every base-option field
-/// that shapes the search result (seeds, environments, technology, fault
-/// spec — but not thread counts, which never change results).
+/// evaluation context (search::add_evaluation_context: workload identity,
+/// objective, environments, technology, grid width, fault spec), design
+/// space and outer search (strategy, budget, seed — but not thread
+/// counts, which never change results).
 std::string campaign_case_key_hex(const CampaignCase& campaign_case,
                                   const search::ExplorerOptions& base,
                                   std::size_t index);

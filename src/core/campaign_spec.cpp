@@ -4,6 +4,7 @@
 
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
+#include "search/optimizer.hpp"
 
 namespace chrysalis::core {
 
@@ -36,8 +37,9 @@ CampaignSpec::validate() const
     if (!(lat_limit_s > 0.0) || !std::isfinite(lat_limit_s))
         fatal("CampaignSpec: lat_limit_s must be finite and > 0, got ",
               lat_limit_s);
-    if (population < 1)
-        fatal("CampaignSpec: population must be >= 1, got ", population);
+    if (population < search::kMinGaPopulation)
+        fatal("CampaignSpec: population must be >= ",
+              search::kMinGaPopulation, ", got ", population);
     if (generations < 1)
         fatal("CampaignSpec: generations must be >= 1, got ", generations);
     if (!(bright_w_cm2 > 0.0) || !std::isfinite(bright_w_cm2))

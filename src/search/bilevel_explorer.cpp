@@ -12,6 +12,95 @@
 
 namespace chrysalis::search {
 
+namespace {
+
+/// Stores \p design at its evaluation index. The optimizer may call the
+/// fitness from several pool threads, so \p designs grows under \p mutex;
+/// indices are assigned before each batch runs, so the history matches
+/// the serial path at any thread count.
+void
+store_design(Mutex& mutex,
+             std::vector<std::shared_ptr<const EvaluatedDesign>>& designs,
+             std::size_t index,
+             std::shared_ptr<const EvaluatedDesign> design)
+{
+    MutexLock lock(mutex);
+    if (index >= designs.size())
+        designs.resize(index + 1);
+    designs[index] = std::move(design);
+}
+
+/// The outer optimizer's options, warm-started with the space's frozen
+/// defaults first, so a search over a superset space never scores worse
+/// than the frozen configuration, and then with \p warm_starts.
+OptimizerOptions
+seeded_outer(const BiLevelExplorer& explorer,
+             const std::vector<HwCandidate>& warm_starts)
+{
+    OptimizerOptions outer = explorer.options().outer;
+    outer.seed_genes.push_back(explorer.encode(explorer.space().defaults));
+    for (const auto& candidate : warm_starts)
+        outer.seed_genes.push_back(explorer.encode(candidate));
+    return outer;
+}
+
+/// Publishes one exploration's counters: explorations, evaluations, memo
+/// activity and the fault injector's activations.
+void
+publish_exploration(const ExplorerOptions& options, int evaluations,
+                    const runtime::EvalCacheStats& cache)
+{
+    obs::MetricsRegistry* registry = obs::metrics();
+    if (registry == nullptr)
+        return;
+    registry->counter("search/explorations").add(1);
+    registry->counter("search/evaluations")
+        .add(static_cast<std::uint64_t>(evaluations));
+    cache.publish(*registry);
+    if (options.faults != nullptr)
+        options.faults->publish(*registry);
+}
+
+}  // namespace
+
+void
+add_evaluation_context(StableHash& hash, const dnn::Model& model,
+                       const Objective& objective,
+                       const ExplorerOptions& options)
+{
+    hash.add(std::string_view(model.name()))
+        .add(model.element_bytes())
+        .add(model.input().c)
+        .add(model.input().h)
+        .add(model.input().w)
+        .add(static_cast<std::uint64_t>(model.layer_count()))
+        .add(model.total_params())
+        .add(model.total_macs())
+        .add(model.total_data_bytes());
+    hash.add(static_cast<int>(objective.kind))
+        .add(objective.sp_limit_cm2)
+        .add(objective.lat_limit_s);
+    hash.add_range(options.k_eh_envs);
+    const auto& cap = options.capacitor_base;
+    hash.add(cap.capacitance_f)
+        .add(cap.rated_voltage_v)
+        .add(cap.k_cap)
+        .add(cap.initial_voltage_v)
+        .add(cap.temperature_c)
+        .add(cap.leakage_doubling_c);
+    const auto& pmic = options.pmic;
+    hash.add(pmic.v_on)
+        .add(pmic.v_off)
+        .add(pmic.charge_efficiency)
+        .add(pmic.discharge_efficiency)
+        .add(pmic.quiescent_power_w);
+    hash.add(static_cast<std::uint64_t>(options.inner.max_candidates_per_dim));
+    // Faulted and fault-free evaluations must never share a key.
+    hash.add(options.faults != nullptr);
+    if (options.faults != nullptr)
+        options.faults->add_to_hash(hash);
+}
+
 BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
                                  Objective objective,
                                  ExplorerOptions options)
@@ -25,42 +114,11 @@ BiLevelExplorer::BiLevelExplorer(dnn::Model model, DesignSpace space,
             fatal("BiLevelExplorer: k_eh must be > 0, got ", k_eh);
     }
 
-    // Premix everything that shapes an evaluation besides the candidate
-    // itself, so candidate_key() only has to fold in the genome.
-    context_hash_.add(std::string_view(model_.name()))
-        .add(model_.element_bytes())
-        .add(model_.input().c)
-        .add(model_.input().h)
-        .add(model_.input().w)
-        .add(static_cast<std::uint64_t>(model_.layer_count()))
-        .add(model_.total_params())
-        .add(model_.total_macs())
-        .add(model_.total_data_bytes());
-    context_hash_.add(static_cast<int>(objective_.kind))
-        .add(objective_.sp_limit_cm2)
-        .add(objective_.lat_limit_s);
-    context_hash_.add_range(options_.k_eh_envs);
-    const auto& cap = options_.capacitor_base;
-    context_hash_.add(cap.capacitance_f)
-        .add(cap.rated_voltage_v)
-        .add(cap.k_cap)
-        .add(cap.initial_voltage_v)
-        .add(cap.temperature_c)
-        .add(cap.leakage_doubling_c);
-    const auto& pmic = options_.pmic;
-    context_hash_.add(pmic.v_on)
-        .add(pmic.v_off)
-        .add(pmic.charge_efficiency)
-        .add(pmic.discharge_efficiency)
-        .add(pmic.quiescent_power_w);
-    context_hash_.add(
-        static_cast<std::uint64_t>(options_.inner.max_candidates_per_dim));
-    // Faulted and fault-free evaluations must never share a memo entry.
-    context_hash_.add(options_.faults != nullptr);
-    if (options_.faults != nullptr) {
+    if (options_.faults != nullptr)
         options_.faults->spec().validate();
-        options_.faults->add_to_hash(context_hash_);
-    }
+    // Premix the evaluation context, so candidate_key() only has to fold
+    // in the genome.
+    add_evaluation_context(context_hash_, model_, objective_, options_);
 
     if (options_.cache_capacity > 0) {
         cache_ = std::make_unique<
@@ -238,43 +296,18 @@ BiLevelExplorer::explore(const std::vector<HwCandidate>& warm_starts) const
     obs::SpanTimer timer("search/explore");
     const runtime::EvalCacheStats cache_before = cache_stats();
     ExplorationResult result;
-    const auto expected = static_cast<std::size_t>(
-        options_.outer.population * options_.outer.generations);
-
-    // The optimizer may call the fitness from several pool threads;
-    // designs are collected under a mutex tagged with their evaluation
-    // index and ordered afterwards, so the history is identical to the
-    // serial path at any thread count.
-    Mutex evaluated_mutex;
-    std::vector<std::pair<std::size_t, std::shared_ptr<const EvaluatedDesign>>>
-        evaluated;
-    evaluated.reserve(expected);
+    Mutex history_mutex;
     const IndexedFitnessFn fitness = [&](std::size_t index,
                                          const std::vector<double>& genes) {
         auto design = evaluate_cached(decode(genes));
         const double score = design->score;
-        MutexLock lock(evaluated_mutex);
-        evaluated.emplace_back(index, std::move(design));
+        store_design(history_mutex, result.history, index, std::move(design));
         return score;
     };
-
-    // Warm-start with the space's frozen defaults so a search over a
-    // superset space never scores worse than the frozen configuration,
-    // plus any caller-provided portfolio seeds.
-    OptimizerOptions outer = options_.outer;
-    outer.seed_genes.push_back(encode(space_.defaults));
-    for (const auto& candidate : warm_starts)
-        outer.seed_genes.push_back(encode(candidate));
-
-    const OptimizeResult opt =
-        optimize(options_.strategy, kGeneCount, outer, fitness);
-    result.evaluations = opt.evaluations;
-
-    std::sort(evaluated.begin(), evaluated.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    result.history.reserve(evaluated.size());
-    for (auto& entry : evaluated)
-        result.history.push_back(std::move(entry.second));
+    result.evaluations =
+        optimize(options_.strategy, kGeneCount,
+                 seeded_outer(*this, warm_starts), fitness)
+            .evaluations;
 
     // Recover the best design from the history (scores match 1:1).
     const auto best_it = std::min_element(
@@ -296,14 +329,7 @@ BiLevelExplorer::explore(const std::vector<HwCandidate>& warm_starts) const
     result.pareto = pareto_front(std::move(points));
     result.cache = cache_stats() - cache_before;
     result.wall_time_s = timer.elapsed_s();
-    if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/explorations").add(1);
-        registry->counter("search/evaluations")
-            .add(static_cast<std::uint64_t>(result.evaluations));
-        result.cache.publish(*registry);
-        if (options_.faults != nullptr)
-            options_.faults->publish(*registry);
-    }
+    publish_exploration(options_, result.evaluations, result.cache);
     return result;
 }
 
@@ -312,11 +338,8 @@ BiLevelExplorer::explore_pareto() const
 {
     OBS_SPAN("search/explore_pareto");
     const runtime::EvalCacheStats cache_before = cache_stats();
-    Mutex evaluated_mutex;
-    std::vector<std::pair<std::size_t, std::shared_ptr<const EvaluatedDesign>>>
-        evaluated;
-    evaluated.reserve(static_cast<std::size_t>(
-        options_.outer.population * options_.outer.generations));
+    Mutex designs_mutex;
+    std::vector<std::shared_ptr<const EvaluatedDesign>> designs;
 
     constexpr double kInfeasible = 1e12;
     const IndexedBiFitnessFn fitness =
@@ -328,41 +351,20 @@ BiLevelExplorer::explore_pareto() const
             objectives = {design->candidate.solar_cm2,
                           design->mean_latency_s};
         }
-        MutexLock lock(evaluated_mutex);
-        evaluated.emplace_back(index, std::move(design));
+        store_design(designs_mutex, designs, index, std::move(design));
         return objectives;
     };
-
-    OptimizerOptions outer = options_.outer;
-    outer.seed_genes.push_back(encode(space_.defaults));
     const Nsga2Result result =
-        optimize_nsga2(kGeneCount, outer, fitness);
+        optimize_nsga2(kGeneCount, seeded_outer(*this, {}), fitness);
 
-    // Deterministic evaluation-index order == result.history order.
-    std::sort(evaluated.begin(), evaluated.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    // Map front points back to the evaluated designs (evaluated order ==
-    // evaluation order == result.history order).
     std::vector<EvaluatedDesign> front;
     for (const auto& point : result.front) {
         if (point.objectives[0] >= kInfeasible)
             continue;
-        // Find the matching history entry by objectives + genes.
-        for (std::size_t i = 0; i < result.history.size(); ++i) {
-            if (result.history[i].genes == point.genes) {
-                front.push_back(*evaluated[i].second);
-                break;
-            }
-        }
+        front.push_back(*designs[point.index]);
     }
-    if (obs::MetricsRegistry* registry = obs::metrics()) {
-        registry->counter("search/explorations").add(1);
-        registry->counter("search/evaluations").add(evaluated.size());
-        (cache_stats() - cache_before).publish(*registry);
-        if (options_.faults != nullptr)
-            options_.faults->publish(*registry);
-    }
+    publish_exploration(options_, result.evaluations,
+                        cache_stats() - cache_before);
     return front;
 }
 

@@ -27,7 +27,6 @@
 #include "search/mapping_search.hpp"
 #include "search/objective.hpp"
 #include "search/optimizer.hpp"
-#include "search/nsga2.hpp"
 #include "search/pareto.hpp"
 #include "sim/analytic_evaluator.hpp"
 
@@ -58,6 +57,16 @@ struct ExplorerOptions {
     /// evaluations never alias.
     const fault::FaultInjector* faults = nullptr;
 };
+
+/// Folds everything besides the candidate that shapes an evaluation into
+/// \p hash: the model's identity, the objective, the environments, the
+/// capacitor and PMIC technology, the inner search's grid width and the
+/// fault spec. The explorer's memo key and the campaign journal's case
+/// key both hash their context here, so the two cannot disagree on what
+/// tells two evaluations apart.
+void add_evaluation_context(StableHash& hash, const dnn::Model& model,
+                            const Objective& objective,
+                            const ExplorerOptions& options);
 
 /// One fully evaluated design point. Immutable once shared: the
 /// explorer's memo, its history and the NSGA-II front hold one record

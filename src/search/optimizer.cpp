@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -15,20 +16,20 @@ namespace chrysalis::search {
 
 namespace {
 
+/// NSGA-II's environmental selection needs a few points per front.
+constexpr int kMinNsga2Population = 4;
+
 void
-check_inputs(int gene_count, const OptimizerOptions& opts)
+check_inputs(int gene_count, const OptimizerOptions& opts,
+             int min_population)
 {
     if (gene_count < 1)
         fatal("optimizer: gene_count must be >= 1, got ", gene_count);
-    if (opts.population < 2)
-        fatal("optimizer: population must be >= 2, got ", opts.population);
+    if (opts.population < min_population)
+        fatal("optimizer: population must be >= ", min_population,
+              ", got ", opts.population);
     if (opts.generations < 1)
         fatal("optimizer: generations must be >= 1, got ", opts.generations);
-    if (opts.elitism < 0 || opts.elitism >= opts.population)
-        fatal("optimizer: elitism must lie in [0, population), got ",
-              opts.elitism);
-    if (opts.tournament_size < 1 || opts.tournament_size > opts.population)
-        fatal("optimizer: tournament size out of range");
     if (opts.threads < 0)
         fatal("optimizer: threads must be >= 0, got ", opts.threads);
 }
@@ -42,75 +43,106 @@ random_genes(Rng& rng, int gene_count)
     return genes;
 }
 
-/// Evaluates one genome batch on the pool and folds it into the result.
+/// The first GA or NSGA-II population: warm-start seeds first, then
+/// random fill. All genomes are drawn before the batch is scored; the
+/// fitness never touches the RNG, so the stream matches an interleaved
+/// draw-evaluate loop exactly.
+std::vector<std::vector<double>>
+initial_genomes(Rng& rng, int gene_count, const OptimizerOptions& opts)
+{
+    std::vector<std::vector<double>> genomes;
+    genomes.reserve(static_cast<std::size_t>(opts.population));
+    for (std::size_t i = 0; i < static_cast<std::size_t>(opts.population);
+         ++i) {
+        if (i >= opts.seed_genes.size()) {
+            genomes.push_back(random_genes(rng, gene_count));
+        } else if (opts.seed_genes[i].size() ==
+                   static_cast<std::size_t>(gene_count)) {
+            genomes.push_back(opts.seed_genes[i]);
+        } else {
+            fatal("optimizer: seed individual has ",
+                  opts.seed_genes[i].size(), " genes, expected ",
+                  gene_count);
+        }
+    }
+    return genomes;
+}
+
+/// Scores one pre-drawn genome batch on the pool, appends it to the
+/// result's history and returns the batch's points in order.
 ///
 /// Determinism: evaluation indices are assigned before the batch runs
 /// (serial history order), the fitness calls are free to complete in any
-/// thread order, and history/evaluations are reduced strictly in index
-/// order afterwards — so any thread count produces the same result as
-/// the serial loop this replaces.
-std::vector<double>
-evaluate_batch(runtime::ThreadPool& pool, const IndexedFitnessFn& fitness,
-               const std::vector<std::vector<double>>& genomes,
-               OptimizeResult& result)
+/// thread order, and the points are built strictly in index order
+/// afterwards, so any thread count produces the serial result.
+template <typename Result, typename Fitness>
+auto
+score_batch(runtime::ThreadPool& pool, const Fitness& fitness,
+            std::vector<std::vector<double>> genomes, Result& result)
 {
-    const std::size_t base = static_cast<std::size_t>(result.evaluations);
-    std::vector<double> scores = pool.parallel_map(
+    const auto base = static_cast<std::size_t>(result.evaluations);
+    const auto values = pool.parallel_map(
         genomes.size(),
         [&](std::size_t i) { return fitness(base + i, genomes[i]); });
+    decltype(result.history) points;
+    points.reserve(genomes.size());
     for (std::size_t i = 0; i < genomes.size(); ++i) {
-        ++result.evaluations;
-        result.history.push_back({genomes[i], scores[i]});
+        points.push_back({std::move(genomes[i]), values[i], base + i});
+        result.history.push_back(points.back());
     }
-    return scores;
+    result.evaluations += static_cast<int>(genomes.size());
+    return points;
 }
 
-/// Adapts a plain FitnessFn (index dropped) to the indexed interface.
-IndexedFitnessFn
-drop_index(const FitnessFn& fitness)
+/// Uniform crossover: each gene comes from \p other with probability 1/2.
+void
+crossover(Rng& rng, std::vector<double>& genes,
+          const std::vector<double>& other)
 {
-    return [&fitness](std::size_t, const std::vector<double>& genes) {
-        return fitness(genes);
-    };
+    for (std::size_t g = 0; g < genes.size(); ++g) {
+        if (rng.bernoulli(0.5))
+            genes[g] = other[g];
+    }
 }
 
-}  // namespace
-
-std::string
-to_string(OptimizerStrategy strategy)
+/// Gaussian mutation, clamped to [0, 1].
+void
+mutate(Rng& rng, std::vector<double>& genes)
 {
-    switch (strategy) {
-      case OptimizerStrategy::kGenetic: return "ga";
-      case OptimizerStrategy::kRandom: return "random";
-      case OptimizerStrategy::kGrid: return "grid";
+    for (auto& gene : genes) {
+        if (rng.bernoulli(kMutationRate))
+            gene = clamp(gene + rng.gaussian(0.0, kMutationSigma), 0.0, 1.0);
     }
-    return "?";
+}
+
+bool
+lower_score(const EvaluatedPoint& a, const EvaluatedPoint& b)
+{
+    return a.score < b.score;
+}
+
+/// Random and grid search: the best is the history's first lowest score.
+void
+take_best_of_history(OptimizeResult& result)
+{
+    const auto best = std::min_element(result.history.begin(),
+                                       result.history.end(), lower_score);
+    result.best_genes = best->genes;
+    result.best_score = best->score;
 }
 
 OptimizeResult
 optimize_genetic(int gene_count, const OptimizerOptions& opts,
                  const IndexedFitnessFn& fitness)
 {
-    check_inputs(gene_count, opts);
+    check_inputs(gene_count, opts, kMinGaPopulation);
     Rng rng(opts.seed);
     runtime::ThreadPool pool(opts.threads);
-
-    struct Individual {
-        std::vector<double> genes;
-        double score = 0.0;
-    };
-
     OptimizeResult result;
-
-    // Initial population: warm-start seeds first, then random fill. All
-    // genomes are drawn before the batch is evaluated; the fitness never
-    // touches the RNG, so the stream matches the historical interleaved
-    // draw-evaluate loop exactly.
-    std::vector<Individual> population(
-        static_cast<std::size_t>(opts.population));
+    std::vector<EvaluatedPoint> population;
 
     // Per-generation fitness summary. Scores are reduced in index order
-    // (see evaluate_batch), so these observations are schedule-invariant
+    // (see score_batch), so these observations are schedule-invariant
     // and the histograms land in the stable report section.
     const auto publish_generation = [&population] {
         obs::MetricsRegistry* registry = obs::metrics();
@@ -133,35 +165,15 @@ optimize_genetic(int gene_count, const OptimizerOptions& opts,
 
     {
         OBS_SPAN("ga/generation");
-        std::vector<std::vector<double>> genomes;
-        genomes.reserve(population.size());
-        for (std::size_t i = 0; i < population.size(); ++i) {
-            if (i < opts.seed_genes.size()) {
-                if (opts.seed_genes[i].size() !=
-                    static_cast<std::size_t>(gene_count)) {
-                    fatal("optimizer: seed individual has ",
-                          opts.seed_genes[i].size(), " genes, expected ",
-                          gene_count);
-                }
-                genomes.push_back(opts.seed_genes[i]);
-            } else {
-                genomes.push_back(random_genes(rng, gene_count));
-            }
-        }
-        const auto scores = evaluate_batch(pool, fitness, genomes, result);
-        for (std::size_t i = 0; i < population.size(); ++i) {
-            population[i].genes = std::move(genomes[i]);
-            population[i].score = scores[i];
-        }
+        population = score_batch(pool, fitness,
+                                 initial_genomes(rng, gene_count, opts),
+                                 result);
         publish_generation();
     }
 
-    const auto by_score = [](const Individual& a, const Individual& b) {
-        return a.score < b.score;
-    };
-    const auto tournament = [&]() -> const Individual& {
-        const Individual* best = nullptr;
-        for (int i = 0; i < opts.tournament_size; ++i) {
+    const auto tournament = [&]() -> const EvaluatedPoint& {
+        const EvaluatedPoint* best = nullptr;
+        for (int i = 0; i < kTournamentSize; ++i) {
             const auto& contender = population[static_cast<std::size_t>(
                 rng.uniform_int(0, opts.population - 1))];
             if (best == nullptr || contender.score < best->score)
@@ -170,49 +182,36 @@ optimize_genetic(int gene_count, const OptimizerOptions& opts,
         return *best;
     };
 
+    const auto elite = static_cast<std::size_t>(kElitism);
     for (int gen = 1; gen < opts.generations; ++gen) {
         OBS_SPAN("ga/generation");
-        std::sort(population.begin(), population.end(), by_score);
-        std::vector<Individual> next;
-        next.reserve(population.size());
-        for (int e = 0; e < opts.elitism; ++e)
-            next.push_back(population[static_cast<std::size_t>(e)]);
+        std::sort(population.begin(), population.end(), lower_score);
 
         // Variation draws all offspring genomes serially (selection only
         // needs the already-scored parent population), then the batch is
-        // scored in parallel.
+        // scored in parallel. Both parents are drawn before the
+        // crossover coin.
         std::vector<std::vector<double>> offspring;
-        offspring.reserve(population.size() - next.size());
-        while (next.size() + offspring.size() < population.size()) {
-            const Individual& parent_a = tournament();
-            const Individual& parent_b = tournament();
+        offspring.reserve(population.size() - elite);
+        while (elite + offspring.size() < population.size()) {
+            const EvaluatedPoint& parent_a = tournament();
+            const EvaluatedPoint& parent_b = tournament();
             std::vector<double> genes = parent_a.genes;
-            if (rng.bernoulli(opts.crossover_rate)) {
-                // Uniform crossover.
-                for (std::size_t g = 0; g < genes.size(); ++g) {
-                    if (rng.bernoulli(0.5))
-                        genes[g] = parent_b.genes[g];
-                }
-            }
-            for (auto& gene : genes) {
-                if (rng.bernoulli(opts.mutation_rate)) {
-                    gene = clamp(gene + rng.gaussian(0.0,
-                                                     opts.mutation_sigma),
-                                 0.0, 1.0);
-                }
-            }
+            if (rng.bernoulli(kCrossoverRate))
+                crossover(rng, genes, parent_b.genes);
+            mutate(rng, genes);
             offspring.push_back(std::move(genes));
         }
-        const auto scores =
-            evaluate_batch(pool, fitness, offspring, result);
-        for (std::size_t i = 0; i < offspring.size(); ++i)
-            next.push_back({std::move(offspring[i]), scores[i]});
-        population = std::move(next);
+        // The elite carries over unchanged, without re-evaluation.
+        population.resize(elite);
+        for (auto& child :
+             score_batch(pool, fitness, std::move(offspring), result))
+            population.push_back(std::move(child));
         publish_generation();
     }
 
-    const auto best = std::min_element(population.begin(), population.end(),
-                                       by_score);
+    const auto best =
+        std::min_element(population.begin(), population.end(), lower_score);
     result.best_genes = best->genes;
     result.best_score = best->score;
     // The elite may have been superseded by a historical point if the last
@@ -230,25 +229,18 @@ OptimizeResult
 optimize_random(int gene_count, const OptimizerOptions& opts,
                 const IndexedFitnessFn& fitness)
 {
-    check_inputs(gene_count, opts);
+    check_inputs(gene_count, opts, kMinGaPopulation);
     Rng rng(opts.seed);
     runtime::ThreadPool pool(opts.threads);
-    OptimizeResult result;
-    result.best_score = 0.0;
     const int budget = opts.population * opts.generations;
 
     std::vector<std::vector<double>> genomes;
     genomes.reserve(static_cast<std::size_t>(budget));
     for (int i = 0; i < budget; ++i)
         genomes.push_back(random_genes(rng, gene_count));
-    const auto scores = evaluate_batch(pool, fitness, genomes, result);
-
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-        if (i == 0 || scores[i] < result.best_score) {
-            result.best_score = scores[i];
-            result.best_genes = std::move(genomes[i]);
-        }
-    }
+    OptimizeResult result;
+    score_batch(pool, fitness, std::move(genomes), result);
+    take_best_of_history(result);
     return result;
 }
 
@@ -256,7 +248,7 @@ OptimizeResult
 optimize_grid(int gene_count, const OptimizerOptions& opts,
               const IndexedFitnessFn& fitness)
 {
-    check_inputs(gene_count, opts);
+    check_inputs(gene_count, opts, kMinGaPopulation);
     runtime::ThreadPool pool(opts.threads);
     const int budget = opts.population * opts.generations;
     const int resolution = std::max(
@@ -264,7 +256,6 @@ optimize_grid(int gene_count, const OptimizerOptions& opts,
                static_cast<double>(budget),
                1.0 / static_cast<double>(gene_count)))));
 
-    OptimizeResult result;
     std::vector<std::vector<double>> genomes;
     std::vector<int> index(static_cast<std::size_t>(gene_count), 0);
     while (true) {
@@ -286,14 +277,23 @@ optimize_grid(int gene_count, const OptimizerOptions& opts,
             break;
     }
 
-    const auto scores = evaluate_batch(pool, fitness, genomes, result);
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
-        if (i == 0 || scores[i] < result.best_score) {
-            result.best_score = scores[i];
-            result.best_genes = genomes[i];
-        }
-    }
+    OptimizeResult result;
+    score_batch(pool, fitness, std::move(genomes), result);
+    take_best_of_history(result);
     return result;
+}
+
+}  // namespace
+
+std::string
+to_string(OptimizerStrategy strategy)
+{
+    switch (strategy) {
+      case OptimizerStrategy::kGenetic: return "ga";
+      case OptimizerStrategy::kRandom: return "random";
+      case OptimizerStrategy::kGrid: return "grid";
+    }
+    return "?";
 }
 
 OptimizeResult
@@ -311,32 +311,200 @@ optimize(OptimizerStrategy strategy, int gene_count,
     panic("optimize: invalid strategy");
 }
 
-OptimizeResult
-optimize_genetic(int gene_count, const OptimizerOptions& opts,
-                 const FitnessFn& fitness)
+bool
+bi_dominates(const std::array<double, 2>& a, const std::array<double, 2>& b)
 {
-    return optimize_genetic(gene_count, opts, drop_index(fitness));
+    return a[0] <= b[0] && a[1] <= b[1] &&
+           (a[0] < b[0] || a[1] < b[1]);
 }
 
-OptimizeResult
-optimize_random(int gene_count, const OptimizerOptions& opts,
-                const FitnessFn& fitness)
+std::vector<int>
+non_dominated_ranks(const std::vector<std::array<double, 2>>& objectives)
 {
-    return optimize_random(gene_count, opts, drop_index(fitness));
+    const std::size_t n = objectives.size();
+    std::vector<int> ranks(n, -1);
+    std::vector<int> domination_count(n, 0);
+    std::vector<std::vector<std::size_t>> dominated(n);
+
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            if (bi_dominates(objectives[i], objectives[j])) {
+                dominated[i].push_back(j);
+                ++domination_count[j];
+            } else if (bi_dominates(objectives[j], objectives[i])) {
+                dominated[j].push_back(i);
+                ++domination_count[i];
+            }
+        }
+    }
+
+    std::vector<std::size_t> current;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (domination_count[i] == 0) {
+            ranks[i] = 0;
+            current.push_back(i);
+        }
+    }
+    int rank = 0;
+    while (!current.empty()) {
+        std::vector<std::size_t> next;
+        for (std::size_t i : current) {
+            for (std::size_t j : dominated[i]) {
+                if (--domination_count[j] == 0) {
+                    ranks[j] = rank + 1;
+                    next.push_back(j);
+                }
+            }
+        }
+        current = std::move(next);
+        ++rank;
+    }
+    return ranks;
 }
 
-OptimizeResult
-optimize_grid(int gene_count, const OptimizerOptions& opts,
-              const FitnessFn& fitness)
+std::vector<double>
+crowding_distances(const std::vector<std::array<double, 2>>& objectives)
 {
-    return optimize_grid(gene_count, opts, drop_index(fitness));
+    const std::size_t n = objectives.size();
+    std::vector<double> distance(n, 0.0);
+    if (n <= 2) {
+        std::fill(distance.begin(), distance.end(),
+                  std::numeric_limits<double>::infinity());
+        return distance;
+    }
+    for (int objective = 0; objective < 2; ++objective) {
+        std::vector<std::size_t> order(n);
+        for (std::size_t i = 0; i < n; ++i)
+            order[i] = i;
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                      return objectives[a][static_cast<std::size_t>(
+                                 objective)] <
+                             objectives[b][static_cast<std::size_t>(
+                                 objective)];
+                  });
+        const double span =
+            objectives[order.back()][static_cast<std::size_t>(objective)] -
+            objectives[order.front()][static_cast<std::size_t>(objective)];
+        distance[order.front()] =
+            std::numeric_limits<double>::infinity();
+        distance[order.back()] = std::numeric_limits<double>::infinity();
+        if (span <= 0.0)
+            continue;
+        for (std::size_t k = 1; k + 1 < n; ++k) {
+            const double gap =
+                objectives[order[k + 1]][static_cast<std::size_t>(
+                    objective)] -
+                objectives[order[k - 1]][static_cast<std::size_t>(
+                    objective)];
+            distance[order[k]] += gap / span;
+        }
+    }
+    return distance;
 }
 
-OptimizeResult
-optimize(OptimizerStrategy strategy, int gene_count,
-         const OptimizerOptions& opts, const FitnessFn& fitness)
+Nsga2Result
+optimize_nsga2(int gene_count, const OptimizerOptions& opts,
+               const IndexedBiFitnessFn& fitness)
 {
-    return optimize(strategy, gene_count, opts, drop_index(fitness));
+    check_inputs(gene_count, opts, kMinNsga2Population);
+    Rng rng(opts.seed);
+    runtime::ThreadPool pool(opts.threads);
+    Nsga2Result result;
+
+    struct Individual {
+        BiEvaluatedPoint point;
+        int rank = 0;
+        double crowding = 0.0;
+    };
+    const auto add_scored = [&](std::vector<Individual>& group,
+                                std::vector<std::vector<double>> genomes) {
+        for (auto& point :
+             score_batch(pool, fitness, std::move(genomes), result))
+            group.push_back({std::move(point), 0, 0.0});
+    };
+
+    std::vector<Individual> population;
+    add_scored(population, initial_genomes(rng, gene_count, opts));
+
+    const auto assign_ranks = [&](std::vector<Individual>& group) {
+        std::vector<std::array<double, 2>> objectives;
+        objectives.reserve(group.size());
+        for (const auto& individual : group)
+            objectives.push_back(individual.point.objectives);
+        const auto ranks = non_dominated_ranks(objectives);
+        for (std::size_t i = 0; i < group.size(); ++i)
+            group[i].rank = ranks[i];
+        // Crowding per front.
+        int max_rank = 0;
+        for (int rank : ranks)
+            max_rank = std::max(max_rank, rank);
+        for (int front = 0; front <= max_rank; ++front) {
+            std::vector<std::size_t> members;
+            std::vector<std::array<double, 2>> member_objectives;
+            for (std::size_t i = 0; i < group.size(); ++i) {
+                if (group[i].rank == front) {
+                    members.push_back(i);
+                    member_objectives.push_back(objectives[i]);
+                }
+            }
+            const auto distances = crowding_distances(member_objectives);
+            for (std::size_t k = 0; k < members.size(); ++k)
+                group[members[k]].crowding = distances[k];
+        }
+    };
+    assign_ranks(population);
+
+    const auto better = [](const Individual& a, const Individual& b) {
+        if (a.rank != b.rank)
+            return a.rank < b.rank;
+        return a.crowding > b.crowding;
+    };
+    const auto tournament = [&]() -> const Individual& {
+        const auto& a = population[static_cast<std::size_t>(
+            rng.uniform_int(0, opts.population - 1))];
+        const auto& b = population[static_cast<std::size_t>(
+            rng.uniform_int(0, opts.population - 1))];
+        return better(a, b) ? a : b;
+    };
+
+    for (int gen = 1; gen < opts.generations; ++gen) {
+        OBS_SPAN("nsga2/generation");
+        if (obs::MetricsRegistry* registry = obs::metrics())
+            registry->counter("search/nsga2/generations").add(1);
+        // Offspring genomes are drawn serially (variation only reads the
+        // scored parent population), then scored as one batch. The
+        // second parent is drawn only when the crossover coin lands.
+        std::vector<std::vector<double>> offspring;
+        offspring.reserve(population.size());
+        while (offspring.size() < population.size()) {
+            std::vector<double> genes = tournament().point.genes;
+            if (rng.bernoulli(kCrossoverRate))
+                crossover(rng, genes, tournament().point.genes);
+            mutate(rng, genes);
+            offspring.push_back(std::move(genes));
+        }
+
+        // Environmental selection from the combined pool.
+        std::vector<Individual> combined = std::move(population);
+        add_scored(combined, std::move(offspring));
+        assign_ranks(combined);
+        std::sort(combined.begin(), combined.end(), better);
+        combined.resize(static_cast<std::size_t>(opts.population));
+        population = std::move(combined);
+        assign_ranks(population);
+    }
+
+    // Extract the final front, sorted by the first objective.
+    for (auto& individual : population) {
+        if (individual.rank == 0)
+            result.front.push_back(std::move(individual.point));
+    }
+    std::sort(result.front.begin(), result.front.end(),
+              [](const BiEvaluatedPoint& a, const BiEvaluatedPoint& b) {
+                  return a.objectives[0] < b.objectives[0];
+              });
+    return result;
 }
 
 }  // namespace chrysalis::search

@@ -5,12 +5,16 @@
 /// on the open-source library Optuna and ... a genetic algorithm", §III-D)
 /// is reproduced as a tournament genetic algorithm with elitism, plus
 /// random-search and grid-search strategies used as exploration baselines
-/// and in ablation benches. Genes live in [0, 1]^n; the caller decodes
+/// and in ablation benches. Figure 6 positions designs on the (solar-panel
+/// size, latency) tradeoff curve; optimize_nsga2() searches *for* that
+/// front: fast non-dominated sorting, crowding-distance selection and the
+/// GA's variation operators. Genes live in [0, 1]^n; the caller decodes
 /// them into a design point.
 
 #ifndef CHRYSALIS_SEARCH_OPTIMIZER_HPP
 #define CHRYSALIS_SEARCH_OPTIMIZER_HPP
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -19,28 +23,38 @@
 
 namespace chrysalis::search {
 
-/// Fitness callback: lower is better. Genes are in [0, 1].
-using FitnessFn = std::function<double(const std::vector<double>&)>;
-
-/// Fitness callback that additionally receives the deterministic
-/// evaluation index (the position the point will occupy in
-/// `OptimizeResult::history`). When `OptimizerOptions::threads != 1` the
-/// optimizer invokes this concurrently from pool threads, so the callback
-/// must be thread-safe; the index lets callers record side products
-/// (e.g. fully evaluated designs) in an order independent of thread
-/// scheduling.
+/// Fitness callback, lower is better; genes are in [0, 1]. It also
+/// receives the deterministic evaluation index (the position the point
+/// will occupy in the result's history). When `OptimizerOptions::threads
+/// != 1` the optimizer invokes it concurrently from pool threads, so the
+/// callback must be thread-safe; the index lets callers record side
+/// products (e.g. fully evaluated designs) in an order independent of
+/// thread scheduling.
 using IndexedFitnessFn =
     std::function<double(std::size_t index, const std::vector<double>&)>;
+
+/// Bi-objective fitness: returns {f1, f2}, both minimized, with the same
+/// index and thread-safety contract as IndexedFitnessFn. Infeasible
+/// points should return large values in both coordinates.
+using IndexedBiFitnessFn = std::function<std::array<double, 2>(
+    std::size_t index, const std::vector<double>&)>;
+
+/// Variation operators shared by the GA and NSGA-II.
+inline constexpr double kCrossoverRate = 0.7;  ///< per offspring
+inline constexpr double kMutationRate = 0.3;   ///< per gene
+inline constexpr double kMutationSigma = 0.15; ///< gaussian mutation step
+/// GA selection: contenders per tournament, and individuals copied
+/// unchanged into the next generation.
+inline constexpr int kTournamentSize = 3;
+inline constexpr int kElitism = 2;
+/// Smallest population the GA, random and grid strategies accept: the
+/// elite plus one offspring, and one tournament's worth of contenders.
+inline constexpr int kMinGaPopulation = 3;
 
 /// Options shared by all optimizer strategies.
 struct OptimizerOptions {
     int population = 24;       ///< GA population / batch size
     int generations = 16;      ///< GA generations (budget = pop * gens)
-    double crossover_rate = 0.7;
-    double mutation_rate = 0.3;   ///< per-gene mutation probability
-    double mutation_sigma = 0.15; ///< gaussian mutation step
-    int tournament_size = 3;
-    int elitism = 2;           ///< individuals copied unchanged per gen
     std::uint64_t seed = 1;
     /// Fitness-evaluation parallelism: 0 = all hardware threads, 1 =
     /// strictly serial (the historical code path). Any value yields
@@ -50,9 +64,10 @@ struct OptimizerOptions {
     /// candidates in one parallel batch can both miss, see EvalCache),
     /// which is why campaign cases force this to 1.
     int threads = 0;
-    /// Warm-start individuals injected into the initial GA population
-    /// (e.g. the frozen-default design, so a search over a superset space
-    /// never loses to its own subspace). Ignored by random/grid.
+    /// Warm-start individuals injected into the initial GA or NSGA-II
+    /// population (e.g. the frozen-default design, so a search over a
+    /// superset space never loses to its own subspace). Ignored by
+    /// random/grid.
     std::vector<std::vector<double>> seed_genes;
 };
 
@@ -60,6 +75,7 @@ struct OptimizerOptions {
 struct EvaluatedPoint {
     std::vector<double> genes;
     double score = 0.0;
+    std::size_t index = 0;  ///< evaluation index: position in history
 };
 
 /// Optimization outcome.
@@ -76,34 +92,51 @@ enum class OptimizerStrategy { kGenetic, kRandom, kGrid };
 /// Short label: "ga", "random", "grid".
 std::string to_string(OptimizerStrategy strategy);
 
-/// Tournament GA with uniform crossover, gaussian mutation and elitism.
-/// Fitness batches (initial population, per-generation offspring) are
-/// evaluated on a runtime::ThreadPool of `opts.threads` workers.
-OptimizeResult optimize_genetic(int gene_count, const OptimizerOptions& opts,
-                                const IndexedFitnessFn& fitness);
-OptimizeResult optimize_genetic(int gene_count, const OptimizerOptions& opts,
-                                const FitnessFn& fitness);
-
-/// Uniform random sampling with the same evaluation budget as the GA.
-OptimizeResult optimize_random(int gene_count, const OptimizerOptions& opts,
-                               const IndexedFitnessFn& fitness);
-OptimizeResult optimize_random(int gene_count, const OptimizerOptions& opts,
-                               const FitnessFn& fitness);
-
-/// Full-factorial grid with per-dimension resolution chosen to fit the
-/// budget (resolution = floor(budget^(1/n)), at least 2).
-OptimizeResult optimize_grid(int gene_count, const OptimizerOptions& opts,
-                             const IndexedFitnessFn& fitness);
-OptimizeResult optimize_grid(int gene_count, const OptimizerOptions& opts,
-                             const FitnessFn& fitness);
-
-/// Dispatches on \p strategy.
+/// Runs one scalar strategy with the evaluation budget population *
+/// generations. Fitness batches (the initial population, each
+/// generation's offspring, the random sample, the grid) are scored on a
+/// runtime::ThreadPool of `opts.threads` workers.
+///   - kGenetic: tournament GA with uniform crossover, gaussian mutation
+///     and elitism (the constants above), warm-started with seed_genes.
+///   - kRandom: uniform random sampling of the whole budget.
+///   - kGrid: full-factorial grid with per-dimension resolution chosen to
+///     fit the budget (resolution = floor(budget^(1/n)), at least 2).
 OptimizeResult optimize(OptimizerStrategy strategy, int gene_count,
                         const OptimizerOptions& opts,
                         const IndexedFitnessFn& fitness);
-OptimizeResult optimize(OptimizerStrategy strategy, int gene_count,
-                        const OptimizerOptions& opts,
-                        const FitnessFn& fitness);
+
+/// One evaluated point of a multi-objective run.
+struct BiEvaluatedPoint {
+    std::vector<double> genes;
+    std::array<double, 2> objectives{0.0, 0.0};
+    std::size_t index = 0;  ///< evaluation index: position in history
+};
+
+/// Result: the non-dominated set of the final population plus history.
+struct Nsga2Result {
+    std::vector<BiEvaluatedPoint> front;    ///< non-dominated, sorted by f1
+    std::vector<BiEvaluatedPoint> history;  ///< every evaluation
+    int evaluations = 0;
+};
+
+/// Pareto dominance for minimization (strictly better in >= 1 coord).
+bool bi_dominates(const std::array<double, 2>& a,
+                  const std::array<double, 2>& b);
+
+/// Fast non-dominated sort: returns the front index (0 = best) of each
+/// point.
+std::vector<int> non_dominated_ranks(
+    const std::vector<std::array<double, 2>>& objectives);
+
+/// Crowding distance within one front (same-index subset of points).
+/// Boundary points get +infinity.
+std::vector<double> crowding_distances(
+    const std::vector<std::array<double, 2>>& objectives);
+
+/// Runs the NSGA-II loop (population of at least 4) with the GA's
+/// budget, seeding, batch scoring and variation operators.
+Nsga2Result optimize_nsga2(int gene_count, const OptimizerOptions& opts,
+                           const IndexedBiFitnessFn& fitness);
 
 }  // namespace chrysalis::search
 

@@ -131,8 +131,9 @@ run_serve_cli(int argc, char** argv, int first)
         } else if (arg == "--trace-out") {
             options.trace_out = next();
         } else {
+            std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
             serve_usage(stderr, argv[0]);
-            fatal("unknown option ", arg);
+            return 2;
         }
     }
 
@@ -229,8 +230,9 @@ run_call_cli(int argc, char** argv, int first)
         } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
             params[arg.substr(2)] = next();
         } else {
+            std::fprintf(stderr, "unknown argument '%s'\n", arg.c_str());
             call_usage(stderr, argv[0]);
-            fatal("unknown argument ", arg);
+            return 2;
         }
     }
     if (port <= 0)

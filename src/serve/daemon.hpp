@@ -24,14 +24,16 @@ struct ServeCliOptions {
 /// Runs the daemon: start the server, announce the bound address on
 /// stdout ("chrysalis_served listening on HOST:PORT"), block until
 /// SIGINT or SIGTERM, drain, report totals and write the optional
-/// metrics/trace files. Flags are parsed from argv[first..); fatal()
-/// on unknown flags. Returns the process exit code.
+/// metrics/trace files. Flags are parsed from argv[first..); an unknown
+/// flag is a usage error: the usage goes to stderr and it returns 2.
+/// Returns the process exit code.
 int run_serve_cli(int argc, char** argv, int first);
 
 /// Runs one request against a server and prints the raw reply payload
 /// on stdout. Recognized flags: --host, --port (required), --type
 /// (required), --timeout; every other `--key value` becomes a request
-/// field. Exit code 0 when the reply says "ok":1, 1 otherwise.
+/// field, so only a non-flag argument is a usage error (exit code 2).
+/// Exit code 0 when the reply says "ok":1, 1 otherwise.
 int run_call_cli(int argc, char** argv, int first);
 
 }  // namespace chrysalis::serve

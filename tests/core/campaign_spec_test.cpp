@@ -91,6 +91,16 @@ TEST(CampaignSpecDeathTest, UnknownObjectiveIsFatal)
                 ::testing::ExitedWithCode(1), "unknown objective");
 }
 
+TEST(CampaignSpecDeathTest, PopulationBelowTheGaMinimumIsFatal)
+{
+    // The GA keeps an elite of two and runs three-way tournaments, so a
+    // population of 2 must fail here, before any case runs.
+    CampaignSpec spec = small_spec();
+    spec.population = 2;
+    EXPECT_EXIT(spec.validate(), ::testing::ExitedWithCode(1),
+                "population must be >= 3");
+}
+
 TEST(CampaignSpec, ExplorerOptionsCarryBudgetSeedAndFaults)
 {
     CampaignSpec spec = small_spec();

@@ -2,7 +2,7 @@
 /// Tests for the NSGA-II multi-objective optimizer and the explorer's
 /// Pareto mode.
 
-#include "search/nsga2.hpp"
+#include "search/optimizer.hpp"
 
 #include <cmath>
 
@@ -68,7 +68,7 @@ TEST(CrowdingDistancesTest, TinyFrontsAreAllInfinite)
 /// Classic convex test problem (Schaffer-like on [0,1]^1 scaled):
 /// f1 = x^2, f2 = (x-1)^2; the true front is x in [0,1].
 std::array<double, 2>
-schaffer(const std::vector<double>& genes)
+schaffer(std::size_t, const std::vector<double>& genes)
 {
     const double x = genes[0];
     return {x * x, (x - 1.0) * (x - 1.0)};
@@ -85,6 +85,12 @@ TEST(Nsga2Test, RecoversSchafferFront)
     // Front spans both ends of the tradeoff.
     EXPECT_LT(result.front.front().objectives[0], 0.05);
     EXPECT_LT(result.front.back().objectives[1], 0.05);
+    // Each front point names its own evaluation.
+    for (const auto& point : result.front) {
+        ASSERT_LT(point.index, result.history.size());
+        EXPECT_EQ(result.history[point.index].genes, point.genes);
+        EXPECT_EQ(result.history[point.index].objectives, point.objectives);
+    }
     // Sorted by f1 and mutually non-dominated.
     for (std::size_t i = 1; i < result.front.size(); ++i) {
         EXPECT_GE(result.front[i].objectives[0],

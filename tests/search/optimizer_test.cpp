@@ -4,11 +4,26 @@
 #include "search/optimizer.hpp"
 
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
 
 namespace chrysalis::search {
 namespace {
+
+using enum OptimizerStrategy;
+
+/// Runs \p strategy on a fitness that ignores the evaluation index.
+OptimizeResult
+run(OptimizerStrategy strategy, int gene_count,
+    const OptimizerOptions& options,
+    const std::function<double(const std::vector<double>&)>& fitness)
+{
+    return optimize(strategy, gene_count, options,
+                    [&](std::size_t, const std::vector<double>& genes) {
+                        return fitness(genes);
+                    });
+}
 
 /// Convex bowl with optimum at (0.3, 0.7).
 double
@@ -49,7 +64,7 @@ TEST(OptimizerTest, StrategyLabels)
 
 TEST(GeneticOptimizerTest, FindsBowlMinimum)
 {
-    const auto result = optimize_genetic(2, small_budget(), bowl);
+    const auto result = run(kGenetic, 2, small_budget(), bowl);
     EXPECT_LT(result.best_score, 0.01);
     EXPECT_NEAR(result.best_genes[0], 0.3, 0.12);
     EXPECT_NEAR(result.best_genes[1], 0.7, 0.12);
@@ -57,8 +72,8 @@ TEST(GeneticOptimizerTest, FindsBowlMinimum)
 
 TEST(GeneticOptimizerTest, DeterministicForSeed)
 {
-    const auto a = optimize_genetic(2, small_budget(), bowl);
-    const auto b = optimize_genetic(2, small_budget(), bowl);
+    const auto a = run(kGenetic, 2, small_budget(), bowl);
+    const auto b = run(kGenetic, 2, small_budget(), bowl);
     EXPECT_DOUBLE_EQ(a.best_score, b.best_score);
     EXPECT_EQ(a.best_genes, b.best_genes);
 }
@@ -66,19 +81,19 @@ TEST(GeneticOptimizerTest, DeterministicForSeed)
 TEST(GeneticOptimizerTest, HistoryMatchesEvaluations)
 {
     const auto options = small_budget();
-    const auto result = optimize_genetic(2, options, bowl);
+    const auto result = run(kGenetic, 2, options, bowl);
     EXPECT_EQ(result.evaluations,
               static_cast<int>(result.history.size()));
     // Elites carry over without re-evaluation: pop + (gens-1)*(pop-elite).
     EXPECT_EQ(result.evaluations,
               options.population +
                   (options.generations - 1) *
-                      (options.population - options.elitism));
+                      (options.population - kElitism));
 }
 
 TEST(GeneticOptimizerTest, BestIsGlobalMinimumOfHistory)
 {
-    const auto result = optimize_genetic(3, small_budget(), bowl);
+    const auto result = run(kGenetic, 3, small_budget(), bowl);
     for (const auto& point : result.history)
         EXPECT_GE(point.score, result.best_score);
 }
@@ -103,8 +118,8 @@ TEST(GeneticOptimizerTest, BeatsRandomInHigherDimensions)
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         OptimizerOptions options = small_budget();
         options.seed = seed;
-        ga_sum += optimize_genetic(5, options, bowl5).best_score;
-        random_sum += optimize_random(5, options, bowl5).best_score;
+        ga_sum += run(kGenetic, 5, options, bowl5).best_score;
+        random_sum += run(kRandom, 5, options, bowl5).best_score;
     }
     EXPECT_LT(ga_sum, random_sum);
     (void)deceptive;  // the 1-D landscape is still exercised below
@@ -113,7 +128,7 @@ TEST(GeneticOptimizerTest, BeatsRandomInHigherDimensions)
 TEST(GeneticOptimizerTest, SolvesDeceptiveLandscape)
 {
     OptimizerOptions options = small_budget();
-    const auto result = optimize_genetic(1, options, deceptive);
+    const auto result = run(kGenetic, 1, options, deceptive);
     // Global optimum basin: 10(x-0.85)^2 < 0.5 within |x-0.85| < 0.22.
     EXPECT_LT(result.best_score, 0.05);
 }
@@ -121,7 +136,7 @@ TEST(GeneticOptimizerTest, SolvesDeceptiveLandscape)
 TEST(RandomOptimizerTest, RespectsBudgetAndRange)
 {
     const auto options = small_budget();
-    const auto result = optimize_random(3, options, bowl);
+    const auto result = run(kRandom, 3, options, bowl);
     EXPECT_EQ(result.evaluations,
               options.population * options.generations);
     for (const auto& point : result.history) {
@@ -137,7 +152,7 @@ TEST(RandomOptimizerTest, ConvergesRoughly)
     OptimizerOptions options = small_budget();
     options.population = 32;
     options.generations = 32;
-    const auto result = optimize_random(2, options, bowl);
+    const auto result = run(kRandom, 2, options, bowl);
     EXPECT_LT(result.best_score, 0.05);
 }
 
@@ -146,7 +161,7 @@ TEST(GridOptimizerTest, CoversCornersAndCenter)
     OptimizerOptions options;
     options.population = 9;
     options.generations = 1;  // budget 9 -> 3x3 grid on 2 genes
-    const auto result = optimize_grid(2, options, bowl);
+    const auto result = run(kGrid, 2, options, bowl);
     EXPECT_EQ(result.evaluations, 9);
     bool corner = false, center = false;
     for (const auto& point : result.history) {
@@ -164,7 +179,7 @@ TEST(GridOptimizerTest, OneDimensionalSweep)
     OptimizerOptions options;
     options.population = 11;
     options.generations = 1;
-    const auto result = optimize_grid(
+    const auto result = run(kGrid, 
         1, options, [](const std::vector<double>& g) { return g[0]; });
     EXPECT_EQ(result.evaluations, 11);
     EXPECT_DOUBLE_EQ(result.best_genes[0], 0.0);
@@ -178,7 +193,7 @@ TEST(OptimizeDispatchTest, AllStrategiesReachTheBowl)
     for (auto strategy :
          {OptimizerStrategy::kGenetic, OptimizerStrategy::kRandom,
           OptimizerStrategy::kGrid}) {
-        const auto result = optimize(strategy, 2, options, bowl);
+        const auto result = run(strategy, 2, options, bowl);
         EXPECT_LT(result.best_score, 0.05) << to_string(strategy);
     }
 }
@@ -187,7 +202,7 @@ TEST(GeneticOptimizerTest, WarmStartSeedIsEvaluatedFirst)
 {
     OptimizerOptions options = small_budget();
     options.seed_genes.push_back({0.3, 0.7});  // the exact optimum
-    const auto result = optimize_genetic(2, options, bowl);
+    const auto result = run(kGenetic, 2, options, bowl);
     ASSERT_FALSE(result.history.empty());
     EXPECT_EQ(result.history.front().genes,
               (std::vector<double>{0.3, 0.7}));
@@ -201,7 +216,7 @@ TEST(GeneticOptimizerTest, WarmStartNeverWorseThanSeed)
     // finds, and the seed's own score bounds the result from above.
     OptimizerOptions options = small_budget();
     options.seed_genes.push_back({1.0, 0.0});
-    const auto result = optimize_genetic(2, options, bowl);
+    const auto result = run(kGenetic, 2, options, bowl);
     EXPECT_LE(result.best_score, bowl({1.0, 0.0}));
 }
 
@@ -209,21 +224,20 @@ TEST(GeneticOptimizerDeathTest, WrongSizedSeedIsFatal)
 {
     OptimizerOptions options = small_budget();
     options.seed_genes.push_back({0.5});  // 1 gene for a 2-gene problem
-    EXPECT_EXIT(optimize_genetic(2, options, bowl),
+    EXPECT_EXIT(run(kGenetic, 2, options, bowl),
                 ::testing::ExitedWithCode(1), "seed individual");
 }
 
 TEST(OptimizerDeathTest, BadOptionsAreFatal)
 {
     OptimizerOptions options;
-    options.population = 1;
-    EXPECT_EXIT(optimize_genetic(2, options, bowl),
-                ::testing::ExitedWithCode(1), "population");
-    options = OptimizerOptions{};
-    options.elitism = 99;
-    EXPECT_EXIT(optimize_genetic(2, options, bowl),
-                ::testing::ExitedWithCode(1), "elitism");
-    EXPECT_EXIT(optimize_genetic(0, OptimizerOptions{}, bowl),
+    options.population = kMinGaPopulation - 1;
+    for (auto strategy : {kGenetic, kRandom, kGrid}) {
+        EXPECT_EXIT(run(strategy, 2, options, bowl),
+                    ::testing::ExitedWithCode(1), "population must be >= 3")
+            << to_string(strategy);
+    }
+    EXPECT_EXIT(run(kGenetic, 0, OptimizerOptions{}, bowl),
                 ::testing::ExitedWithCode(1), "gene_count");
 }
 

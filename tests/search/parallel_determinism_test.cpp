@@ -16,7 +16,6 @@
 #include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
 #include "search/bilevel_explorer.hpp"
-#include "search/nsga2.hpp"
 #include "search/optimizer.hpp"
 
 namespace chrysalis::search {
@@ -32,6 +31,13 @@ synthetic_fitness(const std::vector<double>& genes)
         score += x * x + 0.1 * std::cos(20.0 * x);
     }
     return score;
+}
+
+/// synthetic_fitness as the optimizers call it (the index is unused).
+double
+indexed_synthetic(std::size_t, const std::vector<double>& genes)
+{
+    return synthetic_fitness(genes);
 }
 
 OptimizerOptions
@@ -62,27 +68,33 @@ expect_identical(const OptimizeResult& serial,
 TEST(ParallelDeterminismTest, GeneticMatchesSerialAtFourThreads)
 {
     const auto serial =
-        optimize_genetic(4, small_options(1), synthetic_fitness);
+        optimize(OptimizerStrategy::kGenetic, 4, small_options(1),
+                 indexed_synthetic);
     const auto parallel =
-        optimize_genetic(4, small_options(4), synthetic_fitness);
+        optimize(OptimizerStrategy::kGenetic, 4, small_options(4),
+                 indexed_synthetic);
     expect_identical(serial, parallel);
 }
 
 TEST(ParallelDeterminismTest, RandomMatchesSerialAtFourThreads)
 {
     const auto serial =
-        optimize_random(4, small_options(1), synthetic_fitness);
+        optimize(OptimizerStrategy::kRandom, 4, small_options(1),
+                 indexed_synthetic);
     const auto parallel =
-        optimize_random(4, small_options(4), synthetic_fitness);
+        optimize(OptimizerStrategy::kRandom, 4, small_options(4),
+                 indexed_synthetic);
     expect_identical(serial, parallel);
 }
 
 TEST(ParallelDeterminismTest, GridMatchesSerialAtFourThreads)
 {
     const auto serial =
-        optimize_grid(3, small_options(1), synthetic_fitness);
+        optimize(OptimizerStrategy::kGrid, 3, small_options(1),
+                 indexed_synthetic);
     const auto parallel =
-        optimize_grid(3, small_options(4), synthetic_fitness);
+        optimize(OptimizerStrategy::kGrid, 3, small_options(4),
+                 indexed_synthetic);
     expect_identical(serial, parallel);
 }
 
@@ -101,16 +113,20 @@ TEST(ParallelDeterminismTest, IndexedFitnessSeesSequentialIndices)
             }
             return synthetic_fitness(genes);
         };
-    const auto result = optimize_genetic(4, small_options(4), fitness);
+    const auto result =
+        optimize(OptimizerStrategy::kGenetic, 4, small_options(4), fitness);
     EXPECT_EQ(result.evaluations, static_cast<int>(result.history.size()));
     for (std::size_t i = 0;
-         i < static_cast<std::size_t>(result.evaluations); ++i)
+         i < static_cast<std::size_t>(result.evaluations); ++i) {
         EXPECT_EQ(seen[i], 1) << i;
+        EXPECT_EQ(result.history[i].index, i);
+    }
 }
 
 TEST(ParallelDeterminismTest, Nsga2MatchesSerialAtFourThreads)
 {
-    const BiFitnessFn fitness = [](const std::vector<double>& genes) {
+    const IndexedBiFitnessFn fitness = [](std::size_t,
+                                          const std::vector<double>& genes) {
         return std::array<double, 2>{synthetic_fitness(genes),
                                      1.0 - genes[0]};
     };
@@ -129,6 +145,64 @@ TEST(ParallelDeterminismTest, Nsga2MatchesSerialAtFourThreads)
         EXPECT_EQ(serial.history[i].objectives,
                   parallel.history[i].objectives)
             << i;
+}
+
+TEST(PinnedOptimizerOutputTest, MatchesRecordedValuesAtSeed77)
+{
+    // Recorded at the commit before the GA and NSGA-II shared their
+    // seeding and variation code. The determinism tests above compare
+    // two runs of the same build; these values catch a change to the
+    // RNG draw order, which would move every search result.
+    const OptimizerOptions options = small_options(1);
+    const auto ga = optimize(OptimizerStrategy::kGenetic, 4, options,
+                             indexed_synthetic);
+    EXPECT_EQ(ga.evaluations, 62);
+    EXPECT_EQ(ga.best_score, -0.25473063141509722);
+    EXPECT_EQ(ga.best_genes,
+              (std::vector<double>{0.26562194908630499, 0.28304637678833672,
+                                   0.35159870297612972,
+                                   0.45533179107738975}));
+
+    const auto random = optimize(OptimizerStrategy::kRandom, 4, options,
+                                 indexed_synthetic);
+    EXPECT_EQ(random.evaluations, 72);
+    EXPECT_EQ(random.best_score, -0.07678047208155131);
+    EXPECT_EQ(random.best_genes,
+              (std::vector<double>{0.17881813012541725, 0.31223686251748428,
+                                   0.35159870297612972,
+                                   0.29894278007498132}));
+
+    const auto grid =
+        optimize(OptimizerStrategy::kGrid, 3, options, indexed_synthetic);
+    EXPECT_EQ(grid.evaluations, 64);
+    EXPECT_EQ(grid.best_score, -0.10818734965973731);
+    EXPECT_EQ(grid.best_genes,
+              (std::vector<double>{0.0, 0.0, 0.33333333333333331}));
+
+    const IndexedBiFitnessFn bi = [](std::size_t,
+                                     const std::vector<double>& genes) {
+        return std::array<double, 2>{synthetic_fitness(genes),
+                                     1.0 - genes[0]};
+    };
+    const auto nsga2 = optimize_nsga2(3, options, bi);
+    EXPECT_EQ(nsga2.evaluations, 72);
+    const std::vector<std::array<double, 2>> front = {
+        {-0.19936634932348146, 0.74104693687309553},
+        {-0.0019372967688582599, 0.64840129702387028},
+        {0.023584560964306799, 0.64421007996952973},
+        {0.027911075190634946, 0.63098132906239979},
+        {0.053579744404800358, 0.58062672758780709},
+        {0.12457724790654201, 0.55817836770318374},
+        {0.60163530914478958, 0.12210247576105149},
+        {0.60319321194230668, 0.095043193074626164},
+        {0.60319321194230668, 0.095043193074626164},
+        {0.75821612136443495, 0.020066138028833391},
+        {0.75821612136443495, 0.020066138028833391},
+        {0.83832872233975619, 0.0},
+    };
+    ASSERT_EQ(nsga2.front.size(), front.size());
+    for (std::size_t i = 0; i < front.size(); ++i)
+        EXPECT_EQ(nsga2.front[i].objectives, front[i]) << i;
 }
 
 ExplorerOptions

@@ -8,6 +8,7 @@
 // single-threaded one.
 
 #include "serve/client.hpp"
+#include "serve/daemon.hpp"
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -728,6 +729,20 @@ TEST(ServeRunCase, DefaultWorkerIdIsHostnameAndPort)
     EXPECT_EQ(worker_id.substr(worker_id.size() - port_suffix.size()),
               port_suffix);
     server.stop();
+}
+
+TEST(ServeCli, UsageErrorsExitTwoBeforeAnythingStarts)
+{
+    // As in every other front end, an unknown serve flag and a stray
+    // call argument are usage errors: exit code 2, returned before a
+    // server starts or a connection is tried.
+    char argv0[] = "chrysalis_served";
+    char bogus[] = "--bogus";
+    char* serve_argv[] = {argv0, bogus};
+    EXPECT_EQ(serve::run_serve_cli(2, serve_argv, 1), 2);
+    char stray[] = "stray";
+    char* call_argv[] = {argv0, stray};
+    EXPECT_EQ(serve::run_call_cli(2, call_argv, 1), 2);
 }
 
 }  // namespace
