@@ -78,21 +78,18 @@ write_report()
                      report.metrics_path.c_str(), errno_text(errno));
         return;
     }
-    std::string json = "{\"schema\":\"chrysalis-bench-v1\",\"experiment\":";
-    json_append_escaped(json, report.experiment);
-    json += ",\"description\":";
-    json_append_escaped(json, report.description);
-    json += ",\"headline\":{";
+    std::string json = "{";
+    json_append_field(json, "schema", "chrysalis-bench-v1");
+    json_append_field(json, "experiment", report.experiment);
+    json_append_field(json, "description", report.description);
+    json_append_key(json, "headline");
+    json += '{';
     std::sort(report.headlines.begin(), report.headlines.end());
-    for (std::size_t i = 0; i < report.headlines.size(); ++i) {
-        if (i > 0)
-            json += ',';
-        json_append_escaped(json, report.headlines[i].first);
-        json += ':';
-        json += format_double_17g(report.headlines[i].second);
-    }
-    json += "},\"metrics\":";
-    json += report.registry.to_json();
+    for (const auto& [key, value] : report.headlines)
+        json_append_double(json, key, value);
+    json += '}';
+    // The metrics document goes in whole, its trailing newline included.
+    json_append_raw_field(json, "metrics", report.registry.to_json());
     json += "}\n";
     std::fputs(json.c_str(), file);
     std::fclose(file);
@@ -156,20 +153,18 @@ Budget::from_env()
                      "'quick'\n",
                      mode.c_str());
     }
+    // Checked like the CLIs' numeric flags: junk, a trailing suffix or
+    // a negative value exits 1 naming the variable before any work.
     if (const char* threads_raw = std::getenv("CHRYSALIS_BENCH_THREADS")) {
-        const int threads = std::atoi(threads_raw);
-        if (threads >= 0)
-            budget.threads = threads;
-        else
-            std::fprintf(stderr,
-                         "[bench] ignoring negative "
-                         "CHRYSALIS_BENCH_THREADS '%s'\n",
-                         threads_raw);
+        budget.threads =
+            parse_int_flag("CHRYSALIS_BENCH_THREADS", threads_raw);
+        if (budget.threads < 0)
+            fatal("CHRYSALIS_BENCH_THREADS must be >= 0 (0 = all hardware "
+                  "threads), got ", budget.threads);
     }
     if (const char* cache_raw = std::getenv("CHRYSALIS_BENCH_CACHE")) {
-        const long capacity = std::atol(cache_raw);
-        if (capacity >= 0)
-            budget.cache_capacity = static_cast<std::size_t>(capacity);
+        budget.cache_capacity = static_cast<std::size_t>(
+            parse_uint64_flag("CHRYSALIS_BENCH_CACHE", cache_raw));
     }
     return budget;
 }

@@ -28,8 +28,9 @@ struct Budget {
     std::size_t cache_capacity = 4096;
 
     /// Reads CHRYSALIS_BENCH_BUDGET ("quick"/"full"),
-    /// CHRYSALIS_BENCH_THREADS (integer) and CHRYSALIS_BENCH_CACHE
-    /// (capacity in designs) from the environment.
+    /// CHRYSALIS_BENCH_THREADS (integer >= 0) and CHRYSALIS_BENCH_CACHE
+    /// (capacity in designs) from the environment; fatal() when either
+    /// number does not parse in full or the thread count is negative.
     static Budget from_env();
 };
 

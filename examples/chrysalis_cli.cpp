@@ -70,6 +70,7 @@
 #include "fault/fault_injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "search/optimizer.hpp"
 #include "serve/daemon.hpp"
 
 namespace {
@@ -192,6 +193,12 @@ parse_args(int argc, char** argv, CliOptions& options)
         }
     }
     options.shared.spec.validate();
+    if (options.pareto &&
+        options.shared.spec.population < search::kMinNsga2Population) {
+        fatal("--pareto: population must be >= ",
+              search::kMinNsga2Population, " (NSGA-II), got ",
+              options.shared.spec.population);
+    }
     return std::nullopt;
 }
 

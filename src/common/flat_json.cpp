@@ -2,16 +2,24 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
+
+#include "common/string_utils.hpp"
 
 namespace chrysalis {
 
 void
-json_append_escaped(std::string& out, const std::string& text)
+json_append_escaped(std::string& out, std::string_view text)
 {
+    static constexpr char kHex[] = "0123456789abcdef";
     out += '"';
-    for (const char c : text) {
+    std::size_t clean = 0;  // start of the run not yet copied
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto c = static_cast<unsigned char>(text[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(text, clean, i - clean);
+        clean = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -19,18 +27,64 @@ json_append_escaped(std::string& out, const std::string& text)
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
           default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buffer;
-            } else {
-                out += c;
-            }
+            out += "\\u00";
+            out += kHex[c >> 4];
+            out += kHex[c & 0xF];
         }
     }
+    out.append(text, clean, text.size() - clean);
     out += '"';
+}
+
+void
+json_append_key(std::string& out, std::string_view name)
+{
+    if (!out.empty() && out.back() != '{' && out.back() != '[')
+        out += ',';
+    json_append_escaped(out, name);
+    out += ':';
+}
+
+void
+json_append_field(std::string& out, std::string_view name,
+                  std::string_view value)
+{
+    json_append_key(out, name);
+    json_append_escaped(out, value);
+}
+
+void
+json_append_double(std::string& out, std::string_view name, double value)
+{
+    json_append_raw_field(out, name, format_double_17g(value));
+}
+
+void
+json_append_int64(std::string& out, std::string_view name,
+                  std::int64_t value)
+{
+    json_append_raw_field(out, name, std::to_string(value));
+}
+
+void
+json_append_uint64(std::string& out, std::string_view name,
+                   std::uint64_t value)
+{
+    json_append_raw_field(out, name, std::to_string(value));
+}
+
+void
+json_append_flag(std::string& out, std::string_view name, bool value)
+{
+    json_append_raw_field(out, name, value ? "1" : "0");
+}
+
+void
+json_append_raw_field(std::string& out, std::string_view name,
+                      std::string_view value)
+{
+    json_append_key(out, name);
+    out += value;
 }
 
 namespace {
@@ -101,35 +155,7 @@ decode_unicode_escape(const std::string& line, std::size_t& i,
     return true;
 }
 
-/// Appends `"name":`, preceded by a separating comma unless \p out is
-/// empty or ends in '{'.
-void
-append_key(std::string& out, const char* name)
-{
-    if (!out.empty() && out.back() != '{')
-        out += ',';
-    out += '"';
-    out += name;
-    out += "\":";
-}
-
 }  // namespace
-
-void
-json_append_field(std::string& out, const char* name,
-                  const std::string& value)
-{
-    append_key(out, name);
-    json_append_escaped(out, value);
-}
-
-void
-json_append_raw_field(std::string& out, const char* name,
-                      const std::string& value)
-{
-    append_key(out, name);
-    out += value;
-}
 
 bool
 scan_flat_json(const std::string& line, FlatJsonFields& fields)

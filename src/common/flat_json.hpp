@@ -1,16 +1,17 @@
 /// \file
-/// Flat-JSON encode/decode helpers shared by the line-oriented wire
-/// formats in this repo: the campaign resume journal (JSONL) and the
-/// `chrysalis-serve-v1` network protocol.
+/// The program's one JSON writer, and the flat-JSON scanner. Every
+/// document is built with the appenders below: the campaign resume
+/// journal (JSONL), the `chrysalis-serve-v1` network protocol, the
+/// metrics report, the Chrome trace and the bench report. Doubles go
+/// through format_double_17g() so values round-trip bit-exactly (the
+/// property behind byte-identical resumed campaigns and
+/// thread-count-invariant server replies).
 ///
-/// "Flat" means one level of `{"key":value,...}` with string or
-/// bare-number values — no nested objects or arrays. That restriction
-/// keeps the scanner a few dozen lines, dependency-free, and robust
-/// against torn input (a killed writer, a truncated network frame):
-/// any structural problem makes the scan return false instead of
-/// guessing. Writers emit doubles through format_double_17g() so values
-/// round-trip bit-exactly (the property behind byte-identical resumed
-/// campaigns and thread-count-invariant server replies).
+/// The scanner reads "flat" JSON: one level of `{"key":value,...}` with
+/// string or bare-number values — no nested objects or arrays. That
+/// restriction keeps it a few dozen lines, dependency-free, and robust
+/// against torn input (a killed writer, a truncated network frame): any
+/// structural problem makes the scan return false instead of guessing.
 
 #ifndef CHRYSALIS_COMMON_FLAT_JSON_HPP
 #define CHRYSALIS_COMMON_FLAT_JSON_HPP
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace chrysalis {
 
@@ -27,21 +29,31 @@ namespace chrysalis {
 /// keep their literal spelling.
 using FlatJsonFields = std::map<std::string, std::string>;
 
-/// Appends \p text as a quoted JSON string (escaping quotes,
-/// backslashes and control characters) to \p out.
-void json_append_escaped(std::string& out, const std::string& text);
+/// Appends \p text as a quoted JSON string to \p out, escaping quotes,
+/// backslashes and control characters; runs of clean bytes are copied
+/// in one append.
+void json_append_escaped(std::string& out, std::string_view text);
 
-/// Appends `"name":"value"` (string value, escaped) to an object or a
-/// bare field list under construction; inserts the separating comma
-/// unless \p out is empty or ends in '{'.
-void json_append_field(std::string& out, const char* name,
-                       const std::string& value);
+/// Appends `"name":` with \p name escaped like a value, after the
+/// writer's one comma rule: a separating comma unless \p out is empty
+/// (a serve reply body is a bare field list) or ends in '{' or '['.
+void json_append_key(std::string& out, std::string_view name);
 
-/// Appends `"name":value` with \p value emitted verbatim (numbers,
-/// booleans-as-0/1 — anything already JSON-formatted); same comma rule
-/// as json_append_field().
-void json_append_raw_field(std::string& out, const char* name,
-                           const std::string& value);
+/// Each appends one `"name":value` field after json_append_key(): a
+/// string (escaped), a double (format_double_17g()), a signed or an
+/// unsigned integer, a flag (1 or 0), or a value that is already
+/// encoded (a nested document, a fixed-point number), verbatim.
+void json_append_field(std::string& out, std::string_view name,
+                       std::string_view value);
+void json_append_double(std::string& out, std::string_view name,
+                        double value);
+void json_append_int64(std::string& out, std::string_view name,
+                       std::int64_t value);
+void json_append_uint64(std::string& out, std::string_view name,
+                        std::uint64_t value);
+void json_append_flag(std::string& out, std::string_view name, bool value);
+void json_append_raw_field(std::string& out, std::string_view name,
+                           std::string_view value);
 
 /// Scans one flat JSON object into \p fields. Returns false on any
 /// structural problem — torn line, unterminated string, trailing

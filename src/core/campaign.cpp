@@ -1,12 +1,12 @@
 #include "core/campaign.hpp"
 
 #include <cmath>
-#include <ostream>
 #include <utility>
 
 #include "common/logging.hpp"
 #include "common/mutex.hpp"
 #include "common/string_utils.hpp"
+#include "common/table.hpp"
 #include "core/campaign_journal.hpp"
 #include "hw/accelerator.hpp"
 #include "obs/metrics.hpp"
@@ -30,12 +30,15 @@ CampaignOptions::validate() const
 void
 CampaignResult::write_csv(std::ostream& output, CsvColumns columns) const
 {
-    output << "label,feasible,objective,sp_cm2,capacitance_f,arch,n_pe,"
-              "cache_bytes,mean_latency_s,lat_sp,score,failure,"
-              "evaluations,cache_hits,cache_misses,cache_evictions,attempts";
-    if (columns == CsvColumns::kAll)
-        output << ",wall_time_s";
-    output << '\n';
+    const bool with_wall_time = columns == CsvColumns::kAll;
+    std::vector<std::string> headers = {
+        "label", "feasible", "objective", "sp_cm2", "capacitance_f", "arch",
+        "n_pe", "cache_bytes", "mean_latency_s", "lat_sp", "score",
+        "failure", "evaluations", "cache_hits", "cache_misses",
+        "cache_evictions", "attempts"};
+    if (with_wall_time)
+        headers.push_back("wall_time_s");
+    TextTable table(std::move(headers));
     // Doubles go through format_double_17g so the CSV round-trips
     // bit-exactly and a journal-resumed run's export stays
     // byte-identical to an uninterrupted one. Every case runs once, yet
@@ -43,24 +46,29 @@ CampaignResult::write_csv(std::ostream& output, CsvColumns columns) const
     // format, and perfbench's campaign goldens digest whole rows.
     for (const auto& entry : entries) {
         const auto& solution = entry.solution;
-        output << entry.label << ',' << (solution.feasible ? 1 : 0)
-               << ',' << entry.objective_label << ','
-               << format_double_17g(solution.hardware.solar_cm2) << ','
-               << format_double_17g(solution.hardware.capacitance_f)
-               << ',' << hw::to_string(solution.hardware.arch) << ','
-               << solution.hardware.n_pe << ','
-               << solution.hardware.cache_bytes << ','
-               << format_double_17g(solution.mean_latency_s) << ','
-               << format_double_17g(solution.lat_sp) << ','
-               << format_double_17g(solution.score) << ','
-               << fault::to_string(solution.failure.code) << ','
-               << solution.evaluations << ',' << solution.cache_hits
-               << ',' << solution.cache_misses << ','
-               << solution.cache_evictions << ",1";
-        if (columns == CsvColumns::kAll)
-            output << ',' << format_double_17g(entry.wall_time_s);
-        output << '\n';
+        std::vector<std::string> row = {
+            entry.label,
+            solution.feasible ? "1" : "0",
+            entry.objective_label,
+            format_double_17g(solution.hardware.solar_cm2),
+            format_double_17g(solution.hardware.capacitance_f),
+            hw::to_string(solution.hardware.arch),
+            std::to_string(solution.hardware.n_pe),
+            std::to_string(solution.hardware.cache_bytes),
+            format_double_17g(solution.mean_latency_s),
+            format_double_17g(solution.lat_sp),
+            format_double_17g(solution.score),
+            std::string(fault::to_string(solution.failure.code)),
+            std::to_string(solution.evaluations),
+            std::to_string(solution.cache_hits),
+            std::to_string(solution.cache_misses),
+            std::to_string(solution.cache_evictions),
+            "1"};
+        if (with_wall_time)
+            row.push_back(format_double_17g(entry.wall_time_s));
+        table.add_row(std::move(row));
     }
+    table.print_csv(output);
 }
 
 const CampaignEntry&
@@ -169,7 +177,7 @@ run_campaign(const std::vector<CampaignCase>& cases,
     // journal once, and only evaluate cases the journal does not cover.
     const bool journaled = !campaign_options.journal_path.empty();
     std::vector<std::string> keys(cases.size());
-    std::unordered_map<std::string, JournalRecord> journal;
+    std::unordered_map<std::string, CampaignEntry> journal;
     if (journaled) {
         for (std::size_t i = 0; i < cases.size(); ++i)
             keys[i] = campaign_case_key_hex(cases[i], base_options, i);
@@ -197,7 +205,7 @@ run_campaign(const std::vector<CampaignCase>& cases,
         if (journaled) {
             const auto it = journal.find(keys[index]);
             if (it != journal.end()) {
-                result.entries[index] = from_journal_record(it->second);
+                result.entries[index] = it->second;
                 progress.note_restored();
                 progress.advance();
                 return;
@@ -206,11 +214,10 @@ run_campaign(const std::vector<CampaignCase>& cases,
         CampaignEntry entry =
             run_isolated_case(cases[index], base_options, index, progress);
         if (journaled) {
-            JournalRecord record = to_journal_record(entry, keys[index]);
-            if (campaign_options.deterministic_journal)
-                record = deterministic_record(std::move(record));
+            const std::string line = to_json_line(
+                keys[index], entry, campaign_options.deterministic_journal);
             MutexLock lock(journal_mutex);
-            append_campaign_journal(campaign_options.journal_path, record);
+            append_campaign_journal(campaign_options.journal_path, line);
         }
         result.entries[index] = std::move(entry);
         progress.advance();

@@ -52,7 +52,8 @@ struct CampaignResult {
     /// Writes a CSV with one row per case: label, feasibility, the
     /// chosen EA/IA parameters, metrics, failure code, search effort,
     /// memo-cache activity, attempts (always 1) and (in kAll mode)
-    /// timing.
+    /// timing. A field holding a comma, a quote or a newline (a label
+    /// built from a .model file's model name) is quoted.
     void write_csv(std::ostream& output,
                    CsvColumns columns = CsvColumns::kAll) const;
 
@@ -81,8 +82,8 @@ struct CampaignOptions {
     /// kWarn threshold). 0 logs a line after every finished case.
     double progress_interval_s = 5.0;
 
-    /// When true, journal records are written with the volatile
-    /// wall-clock fields zeroed (see deterministic_record()), so two
+    /// When true, journal lines are written with the volatile
+    /// wall-clock fields zeroed (see to_json_line()), so two
     /// runs of the same campaign produce byte-identical journal lines
     /// at any `threads` (lines land in completion order, so compare
     /// them sorted when threads > 1).

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
+#include "common/flat_json.hpp"
 #include "common/logging.hpp"
 #include "common/string_utils.hpp"
 
@@ -220,64 +219,68 @@ namespace {
 std::string
 samples_to_json(const std::vector<MetricSample>& samples, ReportMode mode)
 {
-    const auto write_group = [&](std::ostringstream& os,
-                                 Stability stability, bool with_sums) {
-        os << "{\"counters\":{";
-        bool first = true;
-        for (const auto& sample : samples) {
-            if (sample.kind != MetricKind::kCounter ||
-                sample.stability != stability)
-                continue;
-            os << (first ? "" : ",") << '"' << sample.name
-               << "\":" << sample.count;
-            first = false;
+    std::string out = "{";
+    const auto open_object = [&out](std::string_view name) {
+        json_append_key(out, name);
+        out += '{';
+    };
+    const auto append_array = [&out](std::string_view name,
+                                     const auto& values, auto format) {
+        json_append_key(out, name);
+        out += '[';
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i > 0)
+                out += ',';
+            out += format(values[i]);
         }
-        os << "},\"gauges\":{";
-        first = true;
+        out += ']';
+    };
+    const auto write_group = [&](std::string_view name, Stability stability,
+                                 bool with_sums) {
+        const auto in_group = [stability](const MetricSample& sample,
+                                          MetricKind kind) {
+            return sample.kind == kind && sample.stability == stability;
+        };
+        open_object(name);
+        open_object("counters");
         for (const auto& sample : samples) {
-            if (sample.kind != MetricKind::kGauge ||
-                sample.stability != stability)
-                continue;
-            os << (first ? "" : ",") << '"' << sample.name
-               << "\":" << format_double_17g(sample.value);
-            first = false;
+            if (in_group(sample, MetricKind::kCounter))
+                json_append_uint64(out, sample.name, sample.count);
         }
-        os << "},\"histograms\":{";
-        first = true;
+        out += '}';
+        open_object("gauges");
         for (const auto& sample : samples) {
-            if (sample.kind != MetricKind::kHistogram ||
-                sample.stability != stability)
+            if (in_group(sample, MetricKind::kGauge))
+                json_append_double(out, sample.name, sample.value);
+        }
+        out += '}';
+        open_object("histograms");
+        for (const auto& sample : samples) {
+            if (!in_group(sample, MetricKind::kHistogram))
                 continue;
-            os << (first ? "" : ",") << '"' << sample.name
-               << "\":{\"count\":" << sample.count;
+            open_object(sample.name);
+            json_append_uint64(out, "count", sample.count);
             if (with_sums)
-                os << ",\"sum\":" << format_double_17g(sample.sum);
-            os << ",\"min\":" << format_double_17g(sample.min)
-               << ",\"max\":" << format_double_17g(sample.max)
-               << ",\"bounds\":[";
-            for (std::size_t i = 0; i < sample.bounds.size(); ++i)
-                os << (i == 0 ? "" : ",")
-                   << format_double_17g(sample.bounds[i]);
-            os << "],\"counts\":[";
-            for (std::size_t i = 0; i < sample.counts.size(); ++i)
-                os << (i == 0 ? "" : ",") << sample.counts[i];
-            os << "]}";
-            first = false;
+                json_append_double(out, "sum", sample.sum);
+            json_append_double(out, "min", sample.min);
+            json_append_double(out, "max", sample.max);
+            append_array("bounds", sample.bounds, format_double_17g);
+            append_array("counts", sample.counts, [](std::uint64_t count) {
+                return std::to_string(count);
+            });
+            out += '}';
         }
-        os << "}}";
+        out += "}}";
     };
 
-    std::ostringstream os;
-    os << "{\"schema\":\"chrysalis-metrics-v1\",\"stable\":";
+    json_append_field(out, "schema", "chrysalis-metrics-v1");
     // Stable metrics never include order-dependent sums, so the stable
     // section is byte-identical at any thread count even in full mode.
-    write_group(os, Stability::kStable, /*with_sums=*/false);
-    if (mode == ReportMode::kFull) {
-        os << ",\"volatile\":";
-        write_group(os, Stability::kVolatile, /*with_sums=*/true);
-    }
-    os << "}\n";
-    return os.str();
+    write_group("stable", Stability::kStable, /*with_sums=*/false);
+    if (mode == ReportMode::kFull)
+        write_group("volatile", Stability::kVolatile, /*with_sums=*/true);
+    out += "}\n";
+    return out;
 }
 
 }  // namespace

@@ -222,33 +222,38 @@ TraceSession::merged() const
 
 namespace {
 
-/// Writes one event as a Chrome "X" (complete) JSON object — no
-/// surrounding comma.
-void
-write_chrome_event(std::ostream& out, const TraceEvent& event)
+/// One event as a Chrome "X" (complete) JSON object. Chrome's `ts` and
+/// `dur` are microseconds, written with three decimals.
+std::string
+chrome_event(const TraceEvent& event)
 {
-    // Span names are code-controlled plus campaign labels; escape them
-    // so a label cannot tear the file.
-    std::string name;
-    json_append_escaped(name, event.name);
-    char buffer[64];
-    out << "{\"name\":" << name
-        << ",\"cat\":\"chrysalis\",\"ph\":\"X\",\"pid\":0"
-        << ",\"tid\":" << event.tid;
-    std::snprintf(buffer, sizeof(buffer), "%.3f", event.start_us);
-    out << ",\"ts\":" << buffer;
-    std::snprintf(buffer, sizeof(buffer), "%.3f", event.duration_us);
-    out << ",\"dur\":" << buffer << ",\"args\":{\"depth\":"
-        << event.depth;
+    const auto microseconds = [](double value) {
+        char buffer[64];
+        std::snprintf(buffer, sizeof(buffer), "%.3f", value);
+        return std::string(buffer);
+    };
+    // Span names are code-controlled plus campaign labels; the escaping
+    // writer keeps a label from tearing the file.
+    std::string out = "{";
+    json_append_field(out, "name", event.name);
+    json_append_field(out, "cat", "chrysalis");
+    json_append_field(out, "ph", "X");
+    json_append_uint64(out, "pid", 0);
+    json_append_uint64(out, "tid", event.tid);
+    json_append_raw_field(out, "ts", microseconds(event.start_us));
+    json_append_raw_field(out, "dur", microseconds(event.duration_us));
+    json_append_key(out, "args");
+    out += '{';
+    json_append_uint64(out, "depth", event.depth);
     // Request-trace attribution only when set, so untraced runs keep
     // the plain byte layout.
     if (event.trace_id != 0) {
-        out << ",\"trace_id\":\"";
-        std::snprintf(buffer, sizeof(buffer), "%016llx",
-                      static_cast<unsigned long long>(event.trace_id));
-        out << buffer << "\"";
+        std::string trace_id;
+        append_hex_u64(trace_id, event.trace_id);
+        json_append_field(out, "trace_id", trace_id);
     }
-    out << "}}";
+    out += "}}";
+    return out;
 }
 
 }  // namespace
@@ -257,14 +262,12 @@ void
 TraceSession::write_chrome_trace(std::ostream& out) const
 {
     const std::vector<TraceEvent> events = merged();
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    bool first = true;
-    for (const auto& event : events) {
-        if (!first)
-            out << ",";
-        write_chrome_event(out, event);
-        first = false;
-    }
+    std::string head = "{";
+    json_append_field(head, "displayTimeUnit", "ms");
+    json_append_key(head, "traceEvents");
+    out << head << '[';
+    for (std::size_t i = 0; i < events.size(); ++i)
+        out << (i == 0 ? "" : ",") << chrome_event(events[i]);
     out << "]}\n";
 }
 

@@ -16,9 +16,6 @@ namespace chrysalis::search {
 
 namespace {
 
-/// NSGA-II's environmental selection needs a few points per front.
-constexpr int kMinNsga2Population = 4;
-
 void
 check_inputs(int gene_count, const OptimizerOptions& opts,
              int min_population)
@@ -68,15 +65,15 @@ initial_genomes(Rng& rng, int gene_count, const OptimizerOptions& opts)
     return genomes;
 }
 
-/// Scores one pre-drawn genome batch on the pool, appends it to the
-/// result's history and returns the batch's points in order.
+/// Scores one pre-drawn genome batch on the pool, counts it in the
+/// result's evaluations and returns the batch's points in order.
 ///
 /// Determinism: evaluation indices are assigned before the batch runs
-/// (serial history order), the fitness calls are free to complete in any
-/// thread order, and the points are built strictly in index order
+/// (serial evaluation order), the fitness calls are free to complete in
+/// any thread order, and the points are built strictly in index order
 /// afterwards, so any thread count produces the serial result.
-template <typename Result, typename Fitness>
-auto
+template <typename Point, typename Result, typename Fitness>
+std::vector<Point>
 score_batch(runtime::ThreadPool& pool, const Fitness& fitness,
             std::vector<std::vector<double>> genomes, Result& result)
 {
@@ -84,12 +81,10 @@ score_batch(runtime::ThreadPool& pool, const Fitness& fitness,
     const auto values = pool.parallel_map(
         genomes.size(),
         [&](std::size_t i) { return fitness(base + i, genomes[i]); });
-    decltype(result.history) points;
+    std::vector<Point> points;
     points.reserve(genomes.size());
-    for (std::size_t i = 0; i < genomes.size(); ++i) {
+    for (std::size_t i = 0; i < genomes.size(); ++i)
         points.push_back({std::move(genomes[i]), values[i], base + i});
-        result.history.push_back(points.back());
-    }
     result.evaluations += static_cast<int>(genomes.size());
     return points;
 }
@@ -121,12 +116,12 @@ lower_score(const EvaluatedPoint& a, const EvaluatedPoint& b)
     return a.score < b.score;
 }
 
-/// Random and grid search: the best is the history's first lowest score.
+/// Sets the result's best to the first lowest score of \p points.
 void
-take_best_of_history(OptimizeResult& result)
+take_best(const std::vector<EvaluatedPoint>& points, OptimizeResult& result)
 {
-    const auto best = std::min_element(result.history.begin(),
-                                       result.history.end(), lower_score);
+    const auto best =
+        std::min_element(points.begin(), points.end(), lower_score);
     result.best_genes = best->genes;
     result.best_score = best->score;
 }
@@ -165,9 +160,8 @@ optimize_genetic(int gene_count, const OptimizerOptions& opts,
 
     {
         OBS_SPAN("ga/generation");
-        population = score_batch(pool, fitness,
-                                 initial_genomes(rng, gene_count, opts),
-                                 result);
+        population = score_batch<EvaluatedPoint>(
+            pool, fitness, initial_genomes(rng, gene_count, opts), result);
         publish_generation();
     }
 
@@ -204,24 +198,15 @@ optimize_genetic(int gene_count, const OptimizerOptions& opts,
         }
         // The elite carries over unchanged, without re-evaluation.
         population.resize(elite);
-        for (auto& child :
-             score_batch(pool, fitness, std::move(offspring), result))
+        for (auto& child : score_batch<EvaluatedPoint>(
+                 pool, fitness, std::move(offspring), result))
             population.push_back(std::move(child));
         publish_generation();
     }
 
-    const auto best =
-        std::min_element(population.begin(), population.end(), lower_score);
-    result.best_genes = best->genes;
-    result.best_score = best->score;
-    // The elite may have been superseded by a historical point if the last
-    // generation regressed; take the global best from the history.
-    for (const auto& point : result.history) {
-        if (point.score < result.best_score) {
-            result.best_score = point.score;
-            result.best_genes = point.genes;
-        }
-    }
+    // The elite carries the lowest score seen into every generation, so
+    // the final population holds the run's best.
+    take_best(population, result);
     return result;
 }
 
@@ -239,8 +224,9 @@ optimize_random(int gene_count, const OptimizerOptions& opts,
     for (int i = 0; i < budget; ++i)
         genomes.push_back(random_genes(rng, gene_count));
     OptimizeResult result;
-    score_batch(pool, fitness, std::move(genomes), result);
-    take_best_of_history(result);
+    const auto points = score_batch<EvaluatedPoint>(
+        pool, fitness, std::move(genomes), result);
+    take_best(points, result);
     return result;
 }
 
@@ -278,8 +264,9 @@ optimize_grid(int gene_count, const OptimizerOptions& opts,
     }
 
     OptimizeResult result;
-    score_batch(pool, fitness, std::move(genomes), result);
-    take_best_of_history(result);
+    const auto points = score_batch<EvaluatedPoint>(
+        pool, fitness, std::move(genomes), result);
+    take_best(points, result);
     return result;
 }
 
@@ -419,8 +406,8 @@ optimize_nsga2(int gene_count, const OptimizerOptions& opts,
     };
     const auto add_scored = [&](std::vector<Individual>& group,
                                 std::vector<std::vector<double>> genomes) {
-        for (auto& point :
-             score_batch(pool, fitness, std::move(genomes), result))
+        for (auto& point : score_batch<BiEvaluatedPoint>(
+                 pool, fitness, std::move(genomes), result))
             group.push_back({std::move(point), 0, 0.0});
     };
 

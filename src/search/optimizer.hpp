@@ -24,8 +24,8 @@
 namespace chrysalis::search {
 
 /// Fitness callback, lower is better; genes are in [0, 1]. It also
-/// receives the deterministic evaluation index (the position the point
-/// will occupy in the result's history). When `OptimizerOptions::threads
+/// receives the deterministic evaluation index (0, 1, 2, ... in the
+/// serial evaluation order). When `OptimizerOptions::threads
 /// != 1` the optimizer invokes it concurrently from pool threads, so the
 /// callback must be thread-safe; the index lets callers record side
 /// products (e.g. fully evaluated designs) in an order independent of
@@ -50,6 +50,9 @@ inline constexpr int kElitism = 2;
 /// Smallest population the GA, random and grid strategies accept: the
 /// elite plus one offspring, and one tournament's worth of contenders.
 inline constexpr int kMinGaPopulation = 3;
+/// Smallest population optimize_nsga2() accepts: its environmental
+/// selection needs a few points per front.
+inline constexpr int kMinNsga2Population = 4;
 
 /// Options shared by all optimizer strategies.
 struct OptimizerOptions {
@@ -71,19 +74,19 @@ struct OptimizerOptions {
     std::vector<std::vector<double>> seed_genes;
 };
 
-/// One evaluated point in the optimization history.
+/// One evaluated point.
 struct EvaluatedPoint {
     std::vector<double> genes;
     double score = 0.0;
-    std::size_t index = 0;  ///< evaluation index: position in history
+    std::size_t index = 0;  ///< evaluation index
 };
 
-/// Optimization outcome.
+/// Optimization outcome: the first lowest score of the final
+/// population (GA) or of the one batch (random, grid).
 struct OptimizeResult {
     std::vector<double> best_genes;
     double best_score = 0.0;
     int evaluations = 0;
-    std::vector<EvaluatedPoint> history;  ///< every evaluated point
 };
 
 /// Strategy selector.
@@ -109,13 +112,12 @@ OptimizeResult optimize(OptimizerStrategy strategy, int gene_count,
 struct BiEvaluatedPoint {
     std::vector<double> genes;
     std::array<double, 2> objectives{0.0, 0.0};
-    std::size_t index = 0;  ///< evaluation index: position in history
+    std::size_t index = 0;  ///< evaluation index
 };
 
-/// Result: the non-dominated set of the final population plus history.
+/// Result: the non-dominated set of the final population.
 struct Nsga2Result {
-    std::vector<BiEvaluatedPoint> front;    ///< non-dominated, sorted by f1
-    std::vector<BiEvaluatedPoint> history;  ///< every evaluation
+    std::vector<BiEvaluatedPoint> front;  ///< non-dominated, sorted by f1
     int evaluations = 0;
 };
 
@@ -133,8 +135,8 @@ std::vector<int> non_dominated_ranks(
 std::vector<double> crowding_distances(
     const std::vector<std::array<double, 2>>& objectives);
 
-/// Runs the NSGA-II loop (population of at least 4) with the GA's
-/// budget, seeding, batch scoring and variation operators.
+/// Runs the NSGA-II loop (population of at least kMinNsga2Population)
+/// with the GA's budget, seeding, batch scoring and variation operators.
 Nsga2Result optimize_nsga2(int gene_count, const OptimizerOptions& opts,
                            const IndexedBiFitnessFn& fitness);
 

@@ -257,15 +257,15 @@ Client::build_request(const std::string& type,
 {
     std::string payload = "{";
     json_append_field(payload, "v", kProtocolVersion);
-    json_append_raw_field(payload, "id", std::to_string(next_id_++));
+    json_append_uint64(payload, "id", next_id_++);
     json_append_field(payload, "type", type);
     for (const auto& [key, value] : params) {
         if (key == "v" || key == "id" || key == "type")
             continue;
         if (is_bare_number(value))
-            json_append_raw_field(payload, key.c_str(), value);
+            json_append_raw_field(payload, key, value);
         else
-            json_append_field(payload, key.c_str(), value);
+            json_append_field(payload, key, value);
     }
     payload += '}';
     return payload;

@@ -75,6 +75,7 @@ class Client
     /// `"type"`, then \p params in key-sorted order. Parameter values
     /// that parse fully as numbers are emitted bare, everything else as
     /// a JSON string — matching what the handlers accept either way.
+    /// Names are escaped like values, so any name scans back intact.
     std::string build_request(const std::string& type,
                               const FlatJsonFields& params);
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.hpp"
-#include "common/string_utils.hpp"
 #include "core/chrysalis.hpp"
 #include "dnn/model_zoo.hpp"
 #include "fault/fault_injector.hpp"
@@ -16,34 +15,6 @@
 
 namespace chrysalis::serve {
 namespace {
-
-// ---- body builders -------------------------------------------------------
-// A body is the comma-joined field list *between* the braces; the
-// flat_json writers put no comma before its first field.
-
-void
-body_f64(std::string& body, const char* name, double value)
-{
-    json_append_raw_field(body, name, format_double_17g(value));
-}
-
-void
-body_i64(std::string& body, const char* name, std::int64_t value)
-{
-    json_append_raw_field(body, name, std::to_string(value));
-}
-
-void
-body_u64(std::string& body, const char* name, std::uint64_t value)
-{
-    json_append_raw_field(body, name, std::to_string(value));
-}
-
-void
-body_flag(std::string& body, const char* name, bool value)
-{
-    json_append_raw_field(body, name, value ? "1" : "0");
-}
 
 // ---- strict field access -------------------------------------------------
 // Absent fields fall back to their default; present-but-unparsable
@@ -207,22 +178,22 @@ eval_design_point_body(const FlatJsonFields& fields)
         tool.evaluate_candidate(request.candidate);
 
     std::string body;
-    body_flag(body, "ok", true);
+    json_append_flag(body, "ok", true);
     json_append_field(body, "type", "eval_design_point");
-    body_flag(body, "feasible", solution.feasible);
-    body_f64(body, "score", solution.score);
-    body_f64(body, "mean_latency_s", solution.mean_latency_s);
-    body_f64(body, "lat_sp", solution.lat_sp);
-    body_f64(body, "e_all_j", solution.cost.total_energy_j());
-    body_i64(body, "n_tile", solution.cost.n_tile);
+    json_append_flag(body, "feasible", solution.feasible);
+    json_append_double(body, "score", solution.score);
+    json_append_double(body, "mean_latency_s", solution.mean_latency_s);
+    json_append_double(body, "lat_sp", solution.lat_sp);
+    json_append_double(body, "e_all_j", solution.cost.total_energy_j());
+    json_append_int64(body, "n_tile", solution.cost.n_tile);
     // Echo the (clamped) candidate that was actually evaluated.
-    body_f64(body, "solar_cm2", solution.hardware.solar_cm2);
-    body_f64(body, "capacitance_f", solution.hardware.capacitance_f);
+    json_append_double(body, "solar_cm2", solution.hardware.solar_cm2);
+    json_append_double(body, "capacitance_f", solution.hardware.capacitance_f);
     json_append_field(body, "arch", hw::to_string(solution.hardware.arch));
-    body_i64(body, "n_pe", solution.hardware.n_pe);
-    body_i64(body, "cache_bytes", solution.hardware.cache_bytes);
+    json_append_int64(body, "n_pe", solution.hardware.n_pe);
+    json_append_int64(body, "cache_bytes", solution.hardware.cache_bytes);
     json_append_field(body, "failure",
-                      std::string(fault::to_string(solution.failure.code)));
+                      fault::to_string(solution.failure.code));
     return body;
 }
 
@@ -250,21 +221,20 @@ eval_mapping_body(const FlatJsonFields& fields)
     }
 
     std::string body;
-    body_flag(body, "ok", true);
+    json_append_flag(body, "ok", true);
     json_append_field(body, "type", "eval_mapping");
-    body_flag(body, "feasible", design.mapping.feasible);
-    body_f64(body, "time_s", design.mapping.cost.time_s);
-    body_f64(body, "e_all_j", design.mapping.cost.total_energy_j());
-    body_f64(body, "max_tile_energy_j",
-             design.mapping.cost.max_tile_energy_j());
-    body_i64(body, "n_tile", design.mapping.cost.n_tile);
-    body_f64(body, "violation_j", design.mapping.violation_j);
-    body_i64(body, "evaluations", design.mapping.evaluations);
-    body_u64(body, "layers", design.mapping.mappings.size());
+    json_append_flag(body, "feasible", design.mapping.feasible);
+    json_append_double(body, "time_s", design.mapping.cost.time_s);
+    json_append_double(body, "e_all_j", design.mapping.cost.total_energy_j());
+    json_append_double(body, "max_tile_energy_j",
+                       design.mapping.cost.max_tile_energy_j());
+    json_append_int64(body, "n_tile", design.mapping.cost.n_tile);
+    json_append_double(body, "violation_j", design.mapping.violation_j);
+    json_append_int64(body, "evaluations", design.mapping.evaluations);
+    json_append_uint64(body, "layers", design.mapping.mappings.size());
     json_append_field(body, "mappings", mappings);
-    json_append_field(
-        body, "failure",
-        std::string(fault::to_string(design.mapping.failure.code)));
+    json_append_field(body, "failure",
+                      fault::to_string(design.mapping.failure.code));
     return body;
 }
 
@@ -278,38 +248,39 @@ sim_step_body(const FlatJsonFields& fields)
         tool.evaluate_candidate(request.candidate);
 
     std::string body;
-    body_flag(body, "ok", true);
+    json_append_flag(body, "ok", true);
     json_append_field(body, "type", "sim_step");
-    body_flag(body, "feasible", solution.feasible);
+    json_append_flag(body, "feasible", solution.feasible);
     if (!solution.feasible) {
         // No mapping to replay; report why instead of simulating.
-        body_flag(body, "completed", false);
-        json_append_field(
-            body, "failure",
-            std::string(fault::to_string(solution.failure.code)));
+        json_append_flag(body, "completed", false);
+        json_append_field(body, "failure",
+                          fault::to_string(solution.failure.code));
         return body;
     }
 
     const core::ValidationResult validation = tool.validate(
         solution, request.options.k_eh_envs.front(), request.sim,
         request.runs);
-    body_flag(body, "completed", validation.sim.completed);
-    body_f64(body, "mean_sim_latency_s", validation.mean_sim_latency_s);
-    body_f64(body, "analytic_latency_s", validation.analytic_latency_s);
-    body_f64(body, "relative_error", validation.relative_error);
-    body_i64(body, "steps", validation.sim.steps);
-    body_i64(body, "tiles_total", validation.sim.tiles_total);
-    body_i64(body, "tiles_executed", validation.sim.tiles_executed);
-    body_i64(body, "exceptions", validation.sim.exceptions);
-    body_i64(body, "energy_cycles", validation.sim.energy_cycles);
-    body_i64(body, "power_offs", validation.sim.power_offs);
-    body_i64(body, "ckpt_saves", validation.sim.ckpt_saves);
-    body_i64(body, "ckpt_restores", validation.sim.ckpt_restores);
-    body_i64(body, "ckpt_corruptions", validation.sim.ckpt_corruptions);
-    body_f64(body, "e_all_j", validation.sim.e_all_j());
-    json_append_field(
-        body, "failure",
-        std::string(fault::to_string(validation.sim.failure.code)));
+    json_append_flag(body, "completed", validation.sim.completed);
+    json_append_double(body, "mean_sim_latency_s",
+                       validation.mean_sim_latency_s);
+    json_append_double(body, "analytic_latency_s",
+                       validation.analytic_latency_s);
+    json_append_double(body, "relative_error", validation.relative_error);
+    json_append_int64(body, "steps", validation.sim.steps);
+    json_append_int64(body, "tiles_total", validation.sim.tiles_total);
+    json_append_int64(body, "tiles_executed", validation.sim.tiles_executed);
+    json_append_int64(body, "exceptions", validation.sim.exceptions);
+    json_append_int64(body, "energy_cycles", validation.sim.energy_cycles);
+    json_append_int64(body, "power_offs", validation.sim.power_offs);
+    json_append_int64(body, "ckpt_saves", validation.sim.ckpt_saves);
+    json_append_int64(body, "ckpt_restores", validation.sim.ckpt_restores);
+    json_append_int64(body, "ckpt_corruptions",
+                      validation.sim.ckpt_corruptions);
+    json_append_double(body, "e_all_j", validation.sim.e_all_j());
+    json_append_field(body, "failure",
+                      fault::to_string(validation.sim.failure.code));
     return body;
 }
 
@@ -317,40 +288,43 @@ std::string
 server_stats_body(const ServerStatsSnapshot& stats)
 {
     std::string body;
-    body_flag(body, "ok", true);
+    json_append_flag(body, "ok", true);
     json_append_field(body, "type", "server_stats");
-    body_u64(body, "connections_open", stats.connections_open);
-    body_u64(body, "connections_total", stats.connections_total);
-    body_u64(body, "requests_total", stats.requests_total);
-    body_u64(body, "requests_eval_design_point",
-             stats.requests_eval_design_point);
-    body_u64(body, "requests_eval_mapping", stats.requests_eval_mapping);
-    body_u64(body, "requests_sim_step", stats.requests_sim_step);
-    body_u64(body, "requests_server_stats", stats.requests_server_stats);
-    body_u64(body, "requests_health", stats.requests_health);
-    body_u64(body, "errors_total", stats.errors_total);
-    body_u64(body, "overload_rejections", stats.overload_rejections);
-    body_u64(body, "batches", stats.batches);
-    body_u64(body, "max_batch", stats.max_batch);
-    body_u64(body, "pending", stats.pending);
-    body_u64(body, "timeouts_read", stats.timeouts_read);
-    body_u64(body, "timeouts_idle", stats.timeouts_idle);
-    body_u64(body, "slow_consumer_closes", stats.slow_consumer_closes);
-    body_flag(body, "draining", stats.draining);
-    body_i64(body, "threads", stats.threads);
-    body_u64(body, "cache_hits", stats.cache.hits);
-    body_u64(body, "cache_misses", stats.cache.misses);
-    body_u64(body, "cache_insertions", stats.cache.insertions);
-    body_u64(body, "cache_evictions", stats.cache.evictions);
-    body_u64(body, "cache_entries", stats.cache.entries);
-    body_u64(body, "cache_capacity", stats.cache.capacity);
-    body_f64(body, "cache_hit_rate", stats.cache.hit_rate());
+    json_append_uint64(body, "connections_open", stats.connections_open);
+    json_append_uint64(body, "connections_total", stats.connections_total);
+    json_append_uint64(body, "requests_total", stats.requests_total);
+    json_append_uint64(body, "requests_eval_design_point",
+                       stats.requests_eval_design_point);
+    json_append_uint64(body, "requests_eval_mapping",
+                       stats.requests_eval_mapping);
+    json_append_uint64(body, "requests_sim_step", stats.requests_sim_step);
+    json_append_uint64(body, "requests_server_stats",
+                       stats.requests_server_stats);
+    json_append_uint64(body, "requests_health", stats.requests_health);
+    json_append_uint64(body, "errors_total", stats.errors_total);
+    json_append_uint64(body, "overload_rejections", stats.overload_rejections);
+    json_append_uint64(body, "batches", stats.batches);
+    json_append_uint64(body, "max_batch", stats.max_batch);
+    json_append_uint64(body, "pending", stats.pending);
+    json_append_uint64(body, "timeouts_read", stats.timeouts_read);
+    json_append_uint64(body, "timeouts_idle", stats.timeouts_idle);
+    json_append_uint64(body, "slow_consumer_closes",
+                       stats.slow_consumer_closes);
+    json_append_flag(body, "draining", stats.draining);
+    json_append_int64(body, "threads", stats.threads);
+    json_append_uint64(body, "cache_hits", stats.cache.hits);
+    json_append_uint64(body, "cache_misses", stats.cache.misses);
+    json_append_uint64(body, "cache_insertions", stats.cache.insertions);
+    json_append_uint64(body, "cache_evictions", stats.cache.evictions);
+    json_append_uint64(body, "cache_entries", stats.cache.entries);
+    json_append_uint64(body, "cache_capacity", stats.cache.capacity);
+    json_append_double(body, "cache_hit_rate", stats.cache.hit_rate());
     json_append_field(body, "worker_id", stats.worker_id);
-    body_f64(body, "uptime_seconds", stats.uptime_seconds);
-    body_u64(body, "latency_count", stats.latency_count);
-    body_f64(body, "latency_p50_s", stats.latency_p50_s);
-    body_f64(body, "latency_p95_s", stats.latency_p95_s);
-    body_f64(body, "latency_p99_s", stats.latency_p99_s);
+    json_append_double(body, "uptime_seconds", stats.uptime_seconds);
+    json_append_uint64(body, "latency_count", stats.latency_count);
+    json_append_double(body, "latency_p50_s", stats.latency_p50_s);
+    json_append_double(body, "latency_p95_s", stats.latency_p95_s);
+    json_append_double(body, "latency_p99_s", stats.latency_p99_s);
     return body;
 }
 
@@ -362,14 +336,14 @@ std::string
 health_body(const ServerStatsSnapshot& stats)
 {
     std::string body;
-    body_flag(body, "ok", true);
+    json_append_flag(body, "ok", true);
     json_append_field(body, "type", "health");
     json_append_field(body, "status", stats.draining ? "draining" : "ready");
     json_append_field(body, "worker_id", stats.worker_id);
-    body_flag(body, "draining", stats.draining);
-    body_u64(body, "connections_open", stats.connections_open);
-    body_u64(body, "pending", stats.pending);
-    body_i64(body, "threads", stats.threads);
+    json_append_flag(body, "draining", stats.draining);
+    json_append_uint64(body, "connections_open", stats.connections_open);
+    json_append_uint64(body, "pending", stats.pending);
+    json_append_int64(body, "threads", stats.threads);
     return body;
 }
 
@@ -411,7 +385,7 @@ std::string
 error_body(const std::string& code, const std::string& detail)
 {
     std::string body;
-    body_flag(body, "ok", false);
+    json_append_flag(body, "ok", false);
     json_append_field(body, "error", code);
     if (detail.size() <= kMaxErrorDetailBytes) {
         json_append_field(body, "detail", detail);
@@ -433,7 +407,7 @@ finish_response(std::uint64_t id, const std::string& body)
 {
     std::string out = "{";
     json_append_field(out, "v", kProtocolVersion);
-    json_append_raw_field(out, "id", std::to_string(id));
+    json_append_uint64(out, "id", id);
     out += ',';
     out += body;
     out += '}';
@@ -454,10 +428,10 @@ append_timing_fields(std::string& response, double queue_wait_s,
     if (response.empty() || response.back() != '}')
         return;
     response.pop_back();
-    body_f64(response, "timing_queue_s", queue_wait_s);
-    body_f64(response, "timing_decode_s", decode_s);
-    body_f64(response, "timing_eval_s", eval_s);
-    body_f64(response, "timing_encode_s", encode_s);
+    json_append_double(response, "timing_queue_s", queue_wait_s);
+    json_append_double(response, "timing_decode_s", decode_s);
+    json_append_double(response, "timing_eval_s", eval_s);
+    json_append_double(response, "timing_encode_s", encode_s);
     response += '}';
 }
 

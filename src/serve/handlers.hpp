@@ -2,7 +2,9 @@
 /// Request handlers of `chrysalis-serve-v1`: pure functions from parsed
 /// request fields to a response *body* (the fields after `"v"` and
 /// `"id"`), factored out of the server's I/O loop so tests can exercise
-/// every request type without a socket.
+/// every request type without a socket. A body is a bare field list
+/// built with the common/flat_json appenders, which put no comma before
+/// its first field.
 ///
 /// Determinism contract: for `eval_design_point`, `eval_mapping` and
 /// `sim_step` the body is a pure function of the request fields — all

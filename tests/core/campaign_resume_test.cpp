@@ -5,6 +5,7 @@
 
 #include "core/campaign_journal.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -65,60 +66,76 @@ deterministic_csv(const CampaignResult& result)
 
 TEST(CampaignJournalTest, RecordRoundTripsThroughJson)
 {
-    JournalRecord record;
-    record.key = "00ff00ff00ff00ff00ff00ff00ff00ff";
-    record.label = "tricky \"label\"\nwith,commas\\and\tescapes";
-    record.objective_label = "lat*sp";
-    record.feasible = true;
-    record.family = 1;
-    record.solar_cm2 = 1.0 / 3.0;
-    record.capacitance_f = 4.7e-300;
-    record.arch = 1;
-    record.n_pe = 168;
-    record.cache_bytes = 2048;
-    record.mean_latency_s = 0.1234567890123456789;
-    record.lat_sp = 1e300;
-    record.score = -0.0;
-    record.evaluations = 1234567890123LL;
-    record.cache_hits = 17;
-    record.cache_misses = 19;
-    record.search_wall_time_s = 2.5;
-    record.wall_time_s = 3.25;
-    record.failure_code = "timeout";
-    record.failure_detail = "after 300000 s";
+    CampaignEntry entry;
+    entry.label = "tricky \"label\"\nwith,commas\\and\tescapes";
+    entry.objective_label = "lat*sp";
+    entry.wall_time_s = 3.25;
+    AuTSolution& solution = entry.solution;
+    solution.feasible = true;
+    solution.hardware.family = search::HardwareFamily::kAccelerator;
+    solution.hardware.solar_cm2 = 1.0 / 3.0;
+    solution.hardware.capacitance_f = 4.7e-300;
+    solution.hardware.arch = hw::AcceleratorArch::kTpu;
+    solution.hardware.n_pe = 168;
+    solution.hardware.cache_bytes = 2048;
+    solution.mean_latency_s = 0.1234567890123456789;
+    solution.lat_sp = 1e300;
+    solution.score = -0.0;
+    solution.evaluations = 1234567890;
+    solution.cache_hits = 17;
+    solution.cache_misses = 19;
+    solution.cache_evictions = 23;
+    solution.search_wall_time_s = 2.5;
+    solution.failure =
+        fault::make_failure(fault::FailureCode::kTimeout, "after 300000 s");
+    const std::string key = "00ff00ff00ff00ff00ff00ff00ff00ff";
 
-    JournalRecord parsed;
-    ASSERT_TRUE(parse_json_line(to_json_line(record), parsed));
-    EXPECT_EQ(parsed.key, record.key);
-    EXPECT_EQ(parsed.label, record.label);
-    EXPECT_EQ(parsed.objective_label, record.objective_label);
-    EXPECT_EQ(parsed.feasible, record.feasible);
-    EXPECT_EQ(parsed.family, record.family);
-    EXPECT_EQ(parsed.solar_cm2, record.solar_cm2);  // bit-exact
-    EXPECT_EQ(parsed.capacitance_f, record.capacitance_f);
-    EXPECT_EQ(parsed.arch, record.arch);
-    EXPECT_EQ(parsed.n_pe, record.n_pe);
-    EXPECT_EQ(parsed.cache_bytes, record.cache_bytes);
-    EXPECT_EQ(parsed.mean_latency_s, record.mean_latency_s);
-    EXPECT_EQ(parsed.lat_sp, record.lat_sp);
-    EXPECT_EQ(parsed.score, record.score);
-    EXPECT_EQ(parsed.evaluations, record.evaluations);
-    EXPECT_EQ(parsed.cache_hits, record.cache_hits);
-    EXPECT_EQ(parsed.cache_misses, record.cache_misses);
-    EXPECT_EQ(parsed.search_wall_time_s, record.search_wall_time_s);
-    EXPECT_EQ(parsed.wall_time_s, record.wall_time_s);
-    EXPECT_EQ(parsed.failure_code, record.failure_code);
-    EXPECT_EQ(parsed.failure_detail, record.failure_detail);
+    std::string parsed_key;
+    CampaignEntry parsed;
+    ASSERT_TRUE(parse_json_line(to_json_line(key, entry), parsed_key,
+                                parsed));
+    EXPECT_EQ(parsed_key, key);
+    EXPECT_TRUE(parsed.from_journal);
+    EXPECT_EQ(parsed.label, entry.label);
+    EXPECT_EQ(parsed.objective_label, entry.objective_label);
+    EXPECT_EQ(parsed.wall_time_s, entry.wall_time_s);
+    const AuTSolution& restored = parsed.solution;
+    EXPECT_EQ(restored.feasible, solution.feasible);
+    EXPECT_EQ(restored.hardware.family, solution.hardware.family);
+    // Doubles are bit-exact.
+    EXPECT_EQ(restored.hardware.solar_cm2, solution.hardware.solar_cm2);
+    EXPECT_EQ(restored.hardware.capacitance_f,
+              solution.hardware.capacitance_f);
+    EXPECT_EQ(restored.hardware.arch, solution.hardware.arch);
+    EXPECT_EQ(restored.hardware.n_pe, solution.hardware.n_pe);
+    EXPECT_EQ(restored.hardware.cache_bytes, solution.hardware.cache_bytes);
+    EXPECT_EQ(restored.mean_latency_s, solution.mean_latency_s);
+    EXPECT_EQ(restored.lat_sp, solution.lat_sp);
+    EXPECT_EQ(restored.score, solution.score);
+    EXPECT_TRUE(std::signbit(restored.score));
+    EXPECT_EQ(restored.evaluations, solution.evaluations);
+    EXPECT_EQ(restored.cache_hits, solution.cache_hits);
+    EXPECT_EQ(restored.cache_misses, solution.cache_misses);
+    EXPECT_EQ(restored.cache_evictions, solution.cache_evictions);
+    EXPECT_EQ(restored.search_wall_time_s, solution.search_wall_time_s);
+    EXPECT_EQ(restored.failure.code, solution.failure.code);
+    EXPECT_EQ(restored.failure.detail, solution.failure.detail);
+}
+
+/// A summary-only entry labelled \p label, as one journal line.
+std::string
+line_for(const std::string& key, const std::string& label)
+{
+    CampaignEntry entry;
+    entry.label = label;
+    entry.objective_label = "lat";
+    return to_json_line(key, entry);
 }
 
 TEST(CampaignJournalTest, TornAndMalformedLinesAreSkipped)
 {
     const std::string path = journal_path("torn_journal.jsonl");
-    JournalRecord record;
-    record.key = "k1";
-    record.label = "good";
-    record.objective_label = "lat";
-    append_campaign_journal(path, record);
+    append_campaign_journal(path, line_for("k1", "good"));
     {
         // A kill mid-write leaves a torn tail; garbage must not load.
         std::ofstream out(path, std::ios::app);
@@ -130,6 +147,7 @@ TEST(CampaignJournalTest, TornAndMalformedLinesAreSkipped)
     ASSERT_EQ(loaded.size(), 1u);
     EXPECT_EQ(loaded.count("k1"), 1u);
     EXPECT_EQ(loaded.at("k1").label, "good");
+    EXPECT_TRUE(loaded.at("k1").from_journal);
 }
 
 TEST(CampaignJournalTest, MissingFileLoadsEmpty)
@@ -142,13 +160,8 @@ TEST(CampaignJournalTest, MissingFileLoadsEmpty)
 TEST(CampaignJournalTest, LastRecordWinsOnDuplicateKeys)
 {
     const std::string path = journal_path("dup_journal.jsonl");
-    JournalRecord first;
-    first.key = "k";
-    first.label = "old";
-    JournalRecord second = first;
-    second.label = "new";
-    append_campaign_journal(path, first);
-    append_campaign_journal(path, second);
+    append_campaign_journal(path, line_for("k", "old"));
+    append_campaign_journal(path, line_for("k", "new"));
     const auto loaded = load_campaign_journal(path);
     ASSERT_EQ(loaded.size(), 1u);
     EXPECT_EQ(loaded.at("k").label, "new");

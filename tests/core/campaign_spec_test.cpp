@@ -1,7 +1,7 @@
 /// \file
 /// CampaignSpec expansion and the deterministic-journal guarantees:
 /// cases built from a spec match the classic CLI campaign scheme,
-/// deterministic_record() strips exactly the volatile fields, and a
+/// a deterministic journal line zeroes exactly the volatile fields, and a
 /// deterministic journal is byte-stable across runs.
 
 #include "core/campaign_spec.hpp"
@@ -123,18 +123,34 @@ TEST(CampaignSpec, ExplorerOptionsCarryBudgetSeedAndFaults)
 
 TEST(CampaignSpec, DeterministicRecordZeroesOnlyWallTimes)
 {
-    JournalRecord record;
-    record.key = "abc";
-    record.label = "kws-latsp-0";
-    record.score = 1.5;
-    record.search_wall_time_s = 3.25;
-    record.wall_time_s = 4.5;
-    const JournalRecord cleaned = deterministic_record(record);
-    EXPECT_EQ(cleaned.search_wall_time_s, 0.0);
-    EXPECT_EQ(cleaned.wall_time_s, 0.0);
-    EXPECT_EQ(cleaned.key, record.key);
-    EXPECT_EQ(cleaned.label, record.label);
-    EXPECT_EQ(cleaned.score, record.score);
+    CampaignEntry entry;
+    entry.label = "kws-latsp-0";
+    entry.solution.score = 1.5;
+    entry.solution.search_wall_time_s = 3.25;
+    entry.wall_time_s = 4.5;
+    const std::string full = to_json_line("abc", entry);
+    const std::string cleaned =
+        to_json_line("abc", entry, /*deterministic=*/true);
+    EXPECT_NE(full.find("\"search_wall_time_s\":3.25,\"wall_time_s\":4.5,"),
+              std::string::npos)
+        << full;
+    EXPECT_NE(cleaned.find("\"search_wall_time_s\":0,\"wall_time_s\":0,"),
+              std::string::npos)
+        << cleaned;
+
+    // Nothing else differs: the line parses back to the same entry with
+    // both wall times zeroed.
+    std::string key;
+    CampaignEntry parsed;
+    ASSERT_TRUE(parse_json_line(cleaned, key, parsed));
+    EXPECT_EQ(key, "abc");
+    EXPECT_EQ(parsed.label, entry.label);
+    EXPECT_EQ(parsed.solution.score, entry.solution.score);
+    EXPECT_EQ(parsed.solution.search_wall_time_s, 0.0);
+    EXPECT_EQ(parsed.wall_time_s, 0.0);
+    entry.solution.search_wall_time_s = 0.0;
+    entry.wall_time_s = 0.0;
+    EXPECT_EQ(to_json_line("abc", entry), cleaned);
 }
 
 TEST(CampaignSpec, DeterministicJournalIsByteStableAcrossRuns)

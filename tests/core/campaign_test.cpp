@@ -86,6 +86,41 @@ TEST(CampaignTest, CsvHasHeaderAndOneRowPerCase)
         EXPECT_EQ(split(lines[i], ',').size(), header_fields) << i;
 }
 
+TEST(CampaignTest, CsvQuotesLabelsHoldingCommasOrQuotes)
+{
+    // A label starts with the model's name, and a .model file may name
+    // its model `my,net`.
+    CampaignResult result;
+    result.entries.resize(2);
+    result.entries[0].label = "my,net-latsp-0";
+    result.entries[0].objective_label = "lat*sp";
+    result.entries[1].label = "say \"hi\"-lat-1";
+    result.entries[1].objective_label = "lat";
+    std::ostringstream os;
+    result.write_csv(os, CsvColumns::kDeterministic);
+    const auto lines = split(trim(os.str()), '\n');
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[1].rfind("\"my,net-latsp-0\",0,lat*sp,", 0), 0u)
+        << lines[1];
+    EXPECT_EQ(lines[2].rfind("\"say \"\"hi\"\"-lat-1\",0,lat,", 0), 0u)
+        << lines[2];
+    // Outside quotes, every row has the header's 17 fields.
+    const auto fields = [](const std::string& row) {
+        std::size_t count = 1;
+        bool quoted = false;
+        for (const char c : row) {
+            if (c == '"')
+                quoted = !quoted;
+            else if (c == ',' && !quoted)
+                ++count;
+        }
+        return count;
+    };
+    EXPECT_EQ(fields(lines[0]), 17u);
+    for (std::size_t i = 1; i < lines.size(); ++i)
+        EXPECT_EQ(fields(lines[i]), 17u) << lines[i];
+}
+
 TEST(CampaignDeathTest, EmptyCampaignIsFatal)
 {
     EXPECT_EXIT(run_campaign({}, small_options()),

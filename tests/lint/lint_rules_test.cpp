@@ -128,6 +128,11 @@ TEST(LintRules, FloatFormatScopedToReportPaths)
         "void f(double x) { std::printf(\"%.6f\", x); }\n";
     EXPECT_TRUE(has_rule(scan_source("src/core/campaign_journal.cpp", code),
                          "chrysalis-float-format"));
+    // Every document's doubles pass through the writer and the handlers.
+    EXPECT_TRUE(has_rule(scan_source("src/common/flat_json.cpp", code),
+                         "chrysalis-float-format"));
+    EXPECT_TRUE(has_rule(scan_source("src/serve/handlers.cpp", code),
+                         "chrysalis-float-format"));
     // Outside the journal/report surfaces the rule does not apply.
     EXPECT_FALSE(has_rule(scan_source("src/energy/harvester.cpp", code),
                           "chrysalis-float-format"));

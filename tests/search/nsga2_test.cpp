@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "dnn/model_zoo.hpp"
+#include "evaluation_log.hpp"
 #include "search/bilevel_explorer.hpp"
 
 namespace chrysalis::search {
@@ -80,16 +81,22 @@ TEST(Nsga2Test, RecoversSchafferFront)
     options.population = 24;
     options.generations = 20;
     options.seed = 3;
-    const Nsga2Result result = optimize_nsga2(1, options, schaffer);
+    EvaluationLog<std::array<double, 2>> log;
+    const Nsga2Result result = optimize_nsga2(
+        1, options, log.wrap([](const std::vector<double>& genes) {
+            return schaffer(0, genes);
+        }));
     ASSERT_GE(result.front.size(), 5u);
     // Front spans both ends of the tradeoff.
     EXPECT_LT(result.front.front().objectives[0], 0.05);
     EXPECT_LT(result.front.back().objectives[1], 0.05);
     // Each front point names its own evaluation.
+    ASSERT_EQ(log.entries().size(),
+              static_cast<std::size_t>(result.evaluations));
     for (const auto& point : result.front) {
-        ASSERT_LT(point.index, result.history.size());
-        EXPECT_EQ(result.history[point.index].genes, point.genes);
-        EXPECT_EQ(result.history[point.index].objectives, point.objectives);
+        ASSERT_LT(point.index, log.entries().size());
+        EXPECT_EQ(log.entries()[point.index].genes, point.genes);
+        EXPECT_EQ(log.entries()[point.index].value, point.objectives);
     }
     // Sorted by f1 and mutually non-dominated.
     for (std::size_t i = 1; i < result.front.size(); ++i) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "evaluation_log.hpp"
+
 namespace chrysalis::search {
 namespace {
 
@@ -81,9 +83,9 @@ TEST(GeneticOptimizerTest, DeterministicForSeed)
 TEST(GeneticOptimizerTest, HistoryMatchesEvaluations)
 {
     const auto options = small_budget();
-    const auto result = run(kGenetic, 2, options, bowl);
-    EXPECT_EQ(result.evaluations,
-              static_cast<int>(result.history.size()));
+    EvaluationLog<double> log;
+    const auto result = optimize(kGenetic, 2, options, log.wrap(bowl));
+    EXPECT_EQ(result.evaluations, static_cast<int>(log.entries().size()));
     // Elites carry over without re-evaluation: pop + (gens-1)*(pop-elite).
     EXPECT_EQ(result.evaluations,
               options.population +
@@ -93,9 +95,12 @@ TEST(GeneticOptimizerTest, HistoryMatchesEvaluations)
 
 TEST(GeneticOptimizerTest, BestIsGlobalMinimumOfHistory)
 {
-    const auto result = run(kGenetic, 3, small_budget(), bowl);
-    for (const auto& point : result.history)
-        EXPECT_GE(point.score, result.best_score);
+    EvaluationLog<double> log;
+    const auto result = optimize(kGenetic, 3, small_budget(), log.wrap(bowl));
+    ASSERT_EQ(log.entries().size(),
+              static_cast<std::size_t>(result.evaluations));
+    for (const auto& evaluation : log.entries())
+        EXPECT_GE(evaluation.value, result.best_score);
 }
 
 TEST(GeneticOptimizerTest, BeatsRandomInHigherDimensions)
@@ -136,11 +141,14 @@ TEST(GeneticOptimizerTest, SolvesDeceptiveLandscape)
 TEST(RandomOptimizerTest, RespectsBudgetAndRange)
 {
     const auto options = small_budget();
-    const auto result = run(kRandom, 3, options, bowl);
+    EvaluationLog<double> log;
+    const auto result = optimize(kRandom, 3, options, log.wrap(bowl));
     EXPECT_EQ(result.evaluations,
               options.population * options.generations);
-    for (const auto& point : result.history) {
-        for (double gene : point.genes) {
+    ASSERT_EQ(log.entries().size(),
+              static_cast<std::size_t>(result.evaluations));
+    for (const auto& evaluation : log.entries()) {
+        for (double gene : evaluation.genes) {
             EXPECT_GE(gene, 0.0);
             EXPECT_LT(gene, 1.0);
         }
@@ -161,13 +169,15 @@ TEST(GridOptimizerTest, CoversCornersAndCenter)
     OptimizerOptions options;
     options.population = 9;
     options.generations = 1;  // budget 9 -> 3x3 grid on 2 genes
-    const auto result = run(kGrid, 2, options, bowl);
+    EvaluationLog<double> log;
+    const auto result = optimize(kGrid, 2, options, log.wrap(bowl));
     EXPECT_EQ(result.evaluations, 9);
     bool corner = false, center = false;
-    for (const auto& point : result.history) {
-        if (point.genes[0] == 0.0 && point.genes[1] == 0.0)
+    for (const auto& evaluation : log.entries()) {
+        const std::vector<double>& genes = evaluation.genes;
+        if (genes[0] == 0.0 && genes[1] == 0.0)
             corner = true;
-        if (point.genes[0] == 0.5 && point.genes[1] == 0.5)
+        if (genes[0] == 0.5 && genes[1] == 0.5)
             center = true;
     }
     EXPECT_TRUE(corner);
@@ -202,9 +212,10 @@ TEST(GeneticOptimizerTest, WarmStartSeedIsEvaluatedFirst)
 {
     OptimizerOptions options = small_budget();
     options.seed_genes.push_back({0.3, 0.7});  // the exact optimum
-    const auto result = run(kGenetic, 2, options, bowl);
-    ASSERT_FALSE(result.history.empty());
-    EXPECT_EQ(result.history.front().genes,
+    EvaluationLog<double> log;
+    const auto result = optimize(kGenetic, 2, options, log.wrap(bowl));
+    ASSERT_FALSE(log.entries().empty());
+    EXPECT_EQ(log.entries().front().genes,
               (std::vector<double>{0.3, 0.7}));
     // The optimum was handed in, so the best score is (near) zero.
     EXPECT_LT(result.best_score, 1e-12);

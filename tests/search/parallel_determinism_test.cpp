@@ -15,6 +15,7 @@
 #include "core/campaign.hpp"
 #include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
+#include "evaluation_log.hpp"
 #include "search/bilevel_explorer.hpp"
 #include "search/optimizer.hpp"
 
@@ -51,56 +52,59 @@ small_options(int threads)
     return opts;
 }
 
-void
-expect_identical(const OptimizeResult& serial,
-                 const OptimizeResult& parallel)
+/// One optimizer run and every evaluation it made, by index.
+struct LoggedRun {
+    OptimizeResult result;
+    std::vector<LoggedEvaluation<double>> evaluations;
+};
+
+LoggedRun
+run_logged(OptimizerStrategy strategy, int gene_count, int threads)
 {
-    EXPECT_EQ(serial.evaluations, parallel.evaluations);
-    EXPECT_EQ(serial.best_score, parallel.best_score);
-    EXPECT_EQ(serial.best_genes, parallel.best_genes);
-    ASSERT_EQ(serial.history.size(), parallel.history.size());
-    for (std::size_t i = 0; i < serial.history.size(); ++i) {
-        EXPECT_EQ(serial.history[i].score, parallel.history[i].score) << i;
-        EXPECT_EQ(serial.history[i].genes, parallel.history[i].genes) << i;
+    EvaluationLog<double> log;
+    OptimizeResult result = optimize(strategy, gene_count,
+                                     small_options(threads),
+                                     log.wrap(synthetic_fitness));
+    return {std::move(result), log.entries()};
+}
+
+void
+expect_identical(const LoggedRun& serial, const LoggedRun& parallel)
+{
+    EXPECT_EQ(serial.result.evaluations, parallel.result.evaluations);
+    EXPECT_EQ(serial.result.best_score, parallel.result.best_score);
+    EXPECT_EQ(serial.result.best_genes, parallel.result.best_genes);
+    ASSERT_EQ(serial.evaluations.size(), parallel.evaluations.size());
+    for (std::size_t i = 0; i < serial.evaluations.size(); ++i) {
+        EXPECT_EQ(serial.evaluations[i].value, parallel.evaluations[i].value)
+            << i;
+        EXPECT_EQ(serial.evaluations[i].genes, parallel.evaluations[i].genes)
+            << i;
     }
 }
 
 TEST(ParallelDeterminismTest, GeneticMatchesSerialAtFourThreads)
 {
-    const auto serial =
-        optimize(OptimizerStrategy::kGenetic, 4, small_options(1),
-                 indexed_synthetic);
-    const auto parallel =
-        optimize(OptimizerStrategy::kGenetic, 4, small_options(4),
-                 indexed_synthetic);
-    expect_identical(serial, parallel);
+    expect_identical(run_logged(OptimizerStrategy::kGenetic, 4, 1),
+                     run_logged(OptimizerStrategy::kGenetic, 4, 4));
 }
 
 TEST(ParallelDeterminismTest, RandomMatchesSerialAtFourThreads)
 {
-    const auto serial =
-        optimize(OptimizerStrategy::kRandom, 4, small_options(1),
-                 indexed_synthetic);
-    const auto parallel =
-        optimize(OptimizerStrategy::kRandom, 4, small_options(4),
-                 indexed_synthetic);
-    expect_identical(serial, parallel);
+    expect_identical(run_logged(OptimizerStrategy::kRandom, 4, 1),
+                     run_logged(OptimizerStrategy::kRandom, 4, 4));
 }
 
 TEST(ParallelDeterminismTest, GridMatchesSerialAtFourThreads)
 {
-    const auto serial =
-        optimize(OptimizerStrategy::kGrid, 3, small_options(1),
-                 indexed_synthetic);
-    const auto parallel =
-        optimize(OptimizerStrategy::kGrid, 3, small_options(4),
-                 indexed_synthetic);
-    expect_identical(serial, parallel);
+    expect_identical(run_logged(OptimizerStrategy::kGrid, 3, 1),
+                     run_logged(OptimizerStrategy::kGrid, 3, 4));
 }
 
 TEST(ParallelDeterminismTest, IndexedFitnessSeesSequentialIndices)
 {
-    // Indices must be the position in history, regardless of threads.
+    // Each index from 0 to evaluations - 1 is seen exactly once,
+    // regardless of threads.
     std::mutex mutex;
     std::vector<int> seen(12 * 6, 0);
     const IndexedFitnessFn fitness =
@@ -115,23 +119,24 @@ TEST(ParallelDeterminismTest, IndexedFitnessSeesSequentialIndices)
         };
     const auto result =
         optimize(OptimizerStrategy::kGenetic, 4, small_options(4), fitness);
-    EXPECT_EQ(result.evaluations, static_cast<int>(result.history.size()));
-    for (std::size_t i = 0;
-         i < static_cast<std::size_t>(result.evaluations); ++i) {
-        EXPECT_EQ(seen[i], 1) << i;
-        EXPECT_EQ(result.history[i].index, i);
-    }
+    const auto evaluations = static_cast<std::size_t>(result.evaluations);
+    ASSERT_LE(evaluations, seen.size());
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], i < evaluations ? 1 : 0) << i;
 }
 
 TEST(ParallelDeterminismTest, Nsga2MatchesSerialAtFourThreads)
 {
-    const IndexedBiFitnessFn fitness = [](std::size_t,
-                                          const std::vector<double>& genes) {
+    const auto fitness = [](const std::vector<double>& genes) {
         return std::array<double, 2>{synthetic_fitness(genes),
                                      1.0 - genes[0]};
     };
-    const auto serial = optimize_nsga2(3, small_options(1), fitness);
-    const auto parallel = optimize_nsga2(3, small_options(4), fitness);
+    EvaluationLog<std::array<double, 2>> serial_log;
+    EvaluationLog<std::array<double, 2>> parallel_log;
+    const auto serial =
+        optimize_nsga2(3, small_options(1), serial_log.wrap(fitness));
+    const auto parallel =
+        optimize_nsga2(3, small_options(4), parallel_log.wrap(fitness));
     EXPECT_EQ(serial.evaluations, parallel.evaluations);
     ASSERT_EQ(serial.front.size(), parallel.front.size());
     for (std::size_t i = 0; i < serial.front.size(); ++i) {
@@ -140,11 +145,11 @@ TEST(ParallelDeterminismTest, Nsga2MatchesSerialAtFourThreads)
                   parallel.front[i].objectives)
             << i;
     }
-    ASSERT_EQ(serial.history.size(), parallel.history.size());
-    for (std::size_t i = 0; i < serial.history.size(); ++i)
-        EXPECT_EQ(serial.history[i].objectives,
-                  parallel.history[i].objectives)
-            << i;
+    const auto& serial_points = serial_log.entries();
+    const auto& parallel_points = parallel_log.entries();
+    ASSERT_EQ(serial_points.size(), parallel_points.size());
+    for (std::size_t i = 0; i < serial_points.size(); ++i)
+        EXPECT_EQ(serial_points[i].value, parallel_points[i].value) << i;
 }
 
 TEST(PinnedOptimizerOutputTest, MatchesRecordedValuesAtSeed77)

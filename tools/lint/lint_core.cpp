@@ -50,6 +50,8 @@ constexpr const char* kReportPathPrefixes[] = {
     "src/core/campaign",      // campaign.cpp/hpp + campaign_journal.*
     "src/obs/metrics",
     "src/common/table",
+    "src/common/flat_json",   // the JSON writer every document uses
+    "src/serve/handlers",
     "bench/common/bench_util",
 };
 
