@@ -38,7 +38,7 @@ run_policy(const dataflow::ModelCost& cost, double panel_cm2,
     cap_config.capacitance_f = 100e-6;
     cap_config.initial_voltage_v = 2.2;  // at U_off: charge first
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             panel_cm2, std::make_shared<energy::ConstantSolarEnvironment>(
                            0.5e-3, "policy")),
         energy::Capacitor(cap_config),

@@ -86,7 +86,7 @@ main()
         energy::Capacitor::Config cap_config = env.capacitor;
         cap_config.initial_voltage_v = env.pmic.v_off;
         energy::EnergyController controller(
-            std::make_unique<energy::SolarPanel>(
+            energy::SolarPanel(
                 test_case.panel_cm2,
                 std::make_shared<energy::ConstantSolarEnvironment>(
                     kKeh, "fidelity")),

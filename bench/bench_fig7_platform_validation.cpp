@@ -65,7 +65,7 @@ evaluate_point(double panel_cm2, double cap_f, Rng& noise)
     energy::Capacitor::Config cap_config = env.capacitor;
     cap_config.initial_voltage_v = env.pmic.v_off;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             panel_cm2, std::make_shared<energy::ConstantSolarEnvironment>(
                            kKeh, "platform")),
         energy::Capacitor(cap_config),
@@ -174,7 +174,7 @@ main()
         energy::Capacitor::Config cap_config = env.capacitor;
         cap_config.initial_voltage_v = env.pmic.v_off;
         energy::EnergyController controller(
-            std::make_unique<energy::SolarPanel>(
+            energy::SolarPanel(
                 3.0, std::make_shared<energy::ConstantSolarEnvironment>(
                          0.5e-3, "scope")),
             energy::Capacitor(cap_config),

@@ -89,7 +89,7 @@ BM_StepSimulatorKws(benchmark::State& state)
         cap.capacitance_f = 470e-6;
         cap.initial_voltage_v = 3.5;
         energy::EnergyController controller(
-            std::make_unique<energy::SolarPanel>(
+            energy::SolarPanel(
                 8.0, std::make_shared<energy::ConstantSolarEnvironment>(
                          2e-3, "bm")),
             energy::Capacitor(cap),
@@ -199,7 +199,7 @@ BM_EnergyControllerStep(benchmark::State& state)
     cap.capacitance_f = 470e-6;
     cap.initial_voltage_v = 3.0;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             8.0, std::make_shared<energy::ConstantSolarEnvironment>(
                      2e-3, "bm")),
         energy::Capacitor(cap),

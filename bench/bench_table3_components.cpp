@@ -38,13 +38,13 @@ main()
                      "Base model (paper)", "Class in this repo"});
     table.add_row({"EH", "Energy Harvester", "Solar Panel",
                    "pvlib [27]",
-                   "energy::SolarPanel + Diurnal/Trace env"});
+                   "energy::SolarPanel + Diurnal/Markov env"});
     table.add_row({"EH", "EH Controller", "Power Management IC",
                    "BQ25570 [65]", "energy::PowerManagementIc"});
     table.add_row({"EH", "Capacitor", "Electrolytic Capacitor",
                    "Physics Model", "energy::Capacitor (Eq. 2)"});
     table.add_row({"Infer", "Infer Controller", "Microcontroller Unit",
-                   "MSP430 [66]", "sim::IntermittentSimulator"});
+                   "MSP430 [66]", "sim::simulate_inference"});
     table.add_row({"Infer", "Strategy", "Tile Partition, ckpt.",
                    "iNAS-like [49]",
                    "dataflow::LayerMapping (InterTempMap)"});
@@ -53,7 +53,7 @@ main()
     table.add_row({"Infer", "Accelerator & Mapper", "Future AuT setup",
                    "CHRYSALIS-MAESTRO / CHRYSALIS-GAMMA",
                    "hw::ReconfigurableAccelerator + "
-                   "search::MappingSearch"});
+                   "search::GeometryTable/MappingGrid"});
     table.print(std::cout);
 
     std::cout << "\nInstantiated realizations:\n"

@@ -20,8 +20,9 @@ namespace chrysalis::bench {
 
 namespace {
 
-/// State behind begin_report/headline; written out by an atexit hook so
-/// every exit path of a figure binary produces its report.
+/// State behind begin_report/headline; written out by an atexit hook, so
+/// a return from main (or exit()) writes the report and fatal(), which
+/// runs no exit hook, leaves an earlier report as it was.
 struct BenchReport {
     Mutex mutex;
     bool active CHRYSALIS_GUARDED_BY(mutex) = false;

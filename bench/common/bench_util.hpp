@@ -38,7 +38,8 @@ struct Budget {
 /// print_banner, so every figure binary gets one for free: at process
 /// exit a `BENCH_<name>.json` file (working directory; <name> is the
 /// executable name minus the `bench_` prefix) is written with the
-/// experiment id, the headline() numbers and a metrics snapshot.
+/// experiment id, the headline() numbers and a metrics snapshot. A
+/// binary that ends through fatal() writes no report.
 ///
 /// Knobs (environment):
 ///   CHRYSALIS_BENCH_METRICS_OUT=FILE   override the report path

@@ -47,7 +47,7 @@ main()
     cap_config.capacitance_f = solution.hardware.capacitance_f;
     cap_config.initial_voltage_v = 0.0;  // deployed with empty storage
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             solution.hardware.solar_cm2,
             std::make_shared<energy::DiurnalSolarEnvironment>(env_config)),
         energy::Capacitor(cap_config),

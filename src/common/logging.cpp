@@ -150,14 +150,17 @@ fatal_exit(const std::string& message)
     if (FatalThrowGuard::active())
         throw FatalError(message);
     // Deliberately no mutex: fatal/panic must make it out even if the
-    // crashing thread already holds the logging lock. Flush both
-    // streams so buffered output (reports, partial CSV rows) is not
+    // crashing thread already holds the logging lock. Flush every
+    // stream so buffered output (reports, partial CSV rows) is not
     // lost — and is ordered before the fatal line — when stderr is
-    // redirected to a file.
+    // redirected to a file. Then end at once: exit() would run the
+    // atexit hooks (a bench's report writer would replace a good report
+    // with an empty one) and the static destructors, while other threads
+    // may still use those objects.
     std::fflush(stdout);
     std::fprintf(stderr, "[chrysalis:fatal] %s\n", message.c_str());
-    std::fflush(stderr);
-    std::exit(1);
+    std::fflush(nullptr);
+    std::_Exit(1);
 }
 
 void

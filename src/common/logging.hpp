@@ -27,8 +27,8 @@ class FatalError : public std::runtime_error
     {}
 };
 
-/// RAII guard converting fatal() on the *current thread* from exit(1)
-/// into a thrown FatalError for the guard's lifetime. Lets a supervisor
+/// RAII guard converting fatal() on the *current thread* from a status-1
+/// exit into a thrown FatalError for the guard's lifetime. Lets a supervisor
 /// (e.g. core::run_campaign) isolate a misbehaving case instead of
 /// taking the whole process down. Guards nest; panic() still aborts.
 class FatalThrowGuard
@@ -100,8 +100,10 @@ concat(Args&&... args)
     return os.str();
 }
 
-/// Terminates the process with exit(1) — or throws FatalError when a
-/// FatalThrowGuard is active on the calling thread; used by fatal().
+/// Flushes every stdio stream and ends the process with status 1,
+/// running no atexit hook or static destructor — or throws FatalError
+/// when a FatalThrowGuard is active on the calling thread; used by
+/// fatal().
 [[noreturn]] void fatal_exit(const std::string& message);
 
 /// Terminates the process with abort(); used by panic().

@@ -37,25 +37,6 @@ lerp(double a, double b, double t)
     return a + (b - a) * t;
 }
 
-double
-interp_trace(const std::vector<double>& xs, const std::vector<double>& ys,
-             double x)
-{
-    if (xs.empty() || xs.size() != ys.size())
-        panic("interp_trace: malformed trace (", xs.size(), " xs, ",
-              ys.size(), " ys)");
-    if (x <= xs.front())
-        return ys.front();
-    if (x >= xs.back())
-        return ys.back();
-    const auto it = std::upper_bound(xs.begin(), xs.end(), x);
-    const auto hi = static_cast<std::size_t>(it - xs.begin());
-    const auto lo = hi - 1;
-    const double span = xs[hi] - xs[lo];
-    const double t = span > 0.0 ? (x - xs[lo]) / span : 0.0;
-    return lerp(ys[lo], ys[hi], t);
-}
-
 SummaryStats
 summarize(const std::vector<double>& samples)
 {

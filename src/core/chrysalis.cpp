@@ -100,14 +100,13 @@ Chrysalis::validate(const AuTSolution& solution, double k_eh,
     // starting at the turn-on threshold (steady-state assumption).
     auto environment = std::make_shared<energy::ConstantSolarEnvironment>(
         k_eh, "validation");
-    auto panel = std::make_unique<energy::SolarPanel>(
-        solution.hardware.solar_cm2, environment);
     energy::Capacitor::Config cap_config =
         inputs_.options.capacitor_base;
     cap_config.capacitance_f = solution.hardware.capacitance_f;
     cap_config.initial_voltage_v = inputs_.options.pmic.v_off;
     energy::EnergyController controller(
-        std::move(panel), energy::Capacitor(cap_config),
+        energy::SolarPanel(solution.hardware.solar_cm2, environment),
+        energy::Capacitor(cap_config),
         energy::PowerManagementIc(inputs_.options.pmic));
 
     // Every run starts at U_off so each pays the cold-start charging

@@ -52,7 +52,7 @@ simulate_deployment(const AuTSolution& solution,
     cap_config.capacitance_f = solution.hardware.capacitance_f;
     cap_config.initial_voltage_v = 0.0;  // deployed empty
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             solution.hardware.solar_cm2,
             std::shared_ptr<const energy::SolarEnvironment>(
                 environment.clone())),

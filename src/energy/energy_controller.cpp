@@ -6,14 +6,11 @@
 
 namespace chrysalis::energy {
 
-EnergyController::EnergyController(std::unique_ptr<EnergyHarvester> harvester,
-                                   Capacitor capacitor,
+EnergyController::EnergyController(SolarPanel panel, Capacitor capacitor,
                                    PowerManagementIc pmic)
-    : harvester_(std::move(harvester)), capacitor_(std::move(capacitor)),
+    : panel_(std::move(panel)), capacitor_(std::move(capacitor)),
       pmic_(std::move(pmic))
 {
-    if (!harvester_)
-        fatal("EnergyController: harvester must not be null");
     if (pmic_.v_on() > capacitor_.config().rated_voltage_v) {
         fatal("EnergyController: PMIC turn-on threshold ", pmic_.v_on(),
               " V exceeds capacitor rated voltage ",
@@ -48,7 +45,7 @@ EnergyController::attach_fault_model(const PowerFaultModel* model)
 double
 EnergyController::input_power_w(double t_s) const
 {
-    const double raw = harvester_->power(t_s);
+    const double raw = panel_.power(t_s);
     return fault_ ? raw * fault_->harvest_factor(t_s) : raw;
 }
 

@@ -12,7 +12,7 @@
 #ifndef CHRYSALIS_ENERGY_ENERGY_CONTROLLER_HPP
 #define CHRYSALIS_ENERGY_ENERGY_CONTROLLER_HPP
 
-#include <memory>
+#include <cstdint>
 
 #include "energy/capacitor.hpp"
 #include "energy/fault_hooks.hpp"
@@ -50,12 +50,12 @@ struct EnergyStepResult {
 class EnergyController
 {
   public:
-    /// \param harvester ambient-energy source; must not be null.
+    /// \param panel ambient-energy source (Eq. 1).
     /// \param capacitor storage element (taken by value; the controller
     ///        owns its state).
     /// \param pmic threshold/efficiency model.
-    EnergyController(std::unique_ptr<EnergyHarvester> harvester,
-                     Capacitor capacitor, PowerManagementIc pmic);
+    EnergyController(SolarPanel panel, Capacitor capacitor,
+                     PowerManagementIc pmic);
 
     /// Attaches an optional fault model (non-owning; may be null to
     /// detach). Static degradations — capacitance fade, leakage growth,
@@ -66,9 +66,9 @@ class EnergyController
     /// derating cannot be undone) and fatal()s.
     void attach_fault_model(const PowerFaultModel* model);
 
-    /// Harvester output power at \p t_s after the fault model's harvest
+    /// Panel output power at \p t_s after the fault model's harvest
     /// factor [W]. All charging math (including the simulator's
-    /// time-to-turn-on estimate) must use this, not the raw harvester.
+    /// time-to-turn-on estimate) must use this, not the raw panel.
     double input_power_w(double t_s) const;
 
     /// Advances time by \p dt_s while the load requests \p load_power_w.
@@ -103,12 +103,11 @@ class EnergyController
     /// booked as leakage.
     void drain_to(double voltage_v);
 
-    const EnergyHarvester& harvester() const { return *harvester_; }
     const Capacitor& capacitor() const { return capacitor_; }
     const PowerManagementIc& pmic() const { return pmic_; }
 
   private:
-    std::unique_ptr<EnergyHarvester> harvester_;
+    SolarPanel panel_;
     Capacitor capacitor_;
     PowerManagementIc pmic_;
     PowerState state_ = PowerState::kCharging;

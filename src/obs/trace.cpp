@@ -295,6 +295,22 @@ attach_trace(TraceSession* session)
     g_trace.store(session, std::memory_order_release);
 }
 
+std::uint32_t
+span_depth()
+{
+    return t_depth;
+}
+
+ScopedSpanDepth::ScopedSpanDepth(std::uint32_t depth) : previous_(t_depth)
+{
+    t_depth = depth;
+}
+
+ScopedSpanDepth::~ScopedSpanDepth()
+{
+    t_depth = previous_;
+}
+
 ScopedSpan::ScopedSpan(std::string_view name)
 {
     TraceSession* session = trace();

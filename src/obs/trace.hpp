@@ -163,6 +163,26 @@ class ScopedTrace
     ScopedTrace& operator=(const ScopedTrace&) = delete;
 };
 
+/// Nesting depth of the recorded spans open on the calling thread
+/// (0 = none).
+std::uint32_t span_depth();
+
+/// RAII: the calling thread records its spans from \p depth for the
+/// guard's lifetime, then returns to its own depth. A pool runner takes
+/// the depth of the thread that issued its batch, so a task's spans nest
+/// the same way whichever thread runs it.
+class ScopedSpanDepth
+{
+  public:
+    explicit ScopedSpanDepth(std::uint32_t depth);
+    ~ScopedSpanDepth();
+    ScopedSpanDepth(const ScopedSpanDepth&) = delete;
+    ScopedSpanDepth& operator=(const ScopedSpanDepth&) = delete;
+
+  private:
+    std::uint32_t previous_;
+};
+
 /// A span over its C++ scope. Inert (no clock read) when no session is
 /// attached at construction; prefer the OBS_SPAN macro at call sites.
 class ScopedSpan

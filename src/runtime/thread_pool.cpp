@@ -4,6 +4,7 @@
 
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace chrysalis::runtime {
 
@@ -64,6 +65,9 @@ struct ThreadPool::Batch {
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> executed{0};
     std::atomic<bool> abort{false};
+    /// The issuing thread's obs::span_depth(): every runner records the
+    /// batch's spans from it, so they nest under the issuer's open spans.
+    std::uint32_t span_depth = 0;
     Mutex mutex;
     CondVar done_cv;
     std::size_t pending_runners CHRYSALIS_GUARDED_BY(mutex) = 0;
@@ -129,6 +133,7 @@ ThreadPool::run_batch(Batch& batch)
 {
     const bool was_on_pool_thread = t_on_pool_thread;
     t_on_pool_thread = true;
+    const obs::ScopedSpanDepth depth(batch.span_depth);
     while (!batch.abort.load(std::memory_order_relaxed)) {
         const std::size_t index =
             batch.next.fetch_add(1, std::memory_order_relaxed);
@@ -181,6 +186,7 @@ ThreadPool::parallel_for(std::size_t count,
     Batch batch;
     batch.count = count;
     batch.body = &body;
+    batch.span_depth = obs::span_depth();
     const std::size_t runners =
         std::min(static_cast<std::size_t>(threads_), count);
     {

@@ -15,8 +15,8 @@
 /// growing with capacitor size because a request arriving after a
 /// brown-out must charge the full swing before turn-on. The evaluator
 /// also checks the per-cycle feasibility constraint E_tile <= E_available
-/// (Eq. 8 with Eq. 3). The step-based IntermittentSimulator cross-validates
-/// this estimate (see tests/sim/cross_validation_test.cpp).
+/// (Eq. 8 with Eq. 3). The step simulator (simulate_inference)
+/// cross-validates this estimate (see tests/sim/cross_validation_test.cpp).
 
 #ifndef CHRYSALIS_SIM_ANALYTIC_EVALUATOR_HPP
 #define CHRYSALIS_SIM_ANALYTIC_EVALUATOR_HPP

@@ -1,5 +1,6 @@
 /// \file
-/// Tests for the capacitor model (Eq. 2 leakage, E = 1/2 C V^2 storage).
+/// Tests for the capacitor model (Eq. 2 leakage, E = 1/2 C V^2 storage,
+/// temperature-dependent leakage).
 
 #include "energy/capacitor.hpp"
 
@@ -176,6 +177,52 @@ TEST(CapacitorDeathTest, NegativeEnergyPanics)
     EXPECT_DEATH(cap.charge(-1.0), "negative");
     EXPECT_DEATH(cap.discharge(-1.0), "negative");
     EXPECT_DEATH(cap.apply_leakage(-1.0), "negative");
+}
+
+TEST(CapacitorTemperatureTest, ReferenceTemperatureIsNeutral)
+{
+    Capacitor::Config config;
+    config.initial_voltage_v = 3.0;
+    const Capacitor cap(config);
+    EXPECT_DOUBLE_EQ(cap.effective_k_cap(), config.k_cap);
+}
+
+TEST(CapacitorTemperatureTest, LeakageDoublesPerStep)
+{
+    Capacitor::Config config;
+    config.initial_voltage_v = 3.0;
+    config.temperature_c = 45.0;  // two doubling steps above 25 C
+    const Capacitor hot(config);
+    config.temperature_c = 25.0;
+    const Capacitor ref(config);
+    EXPECT_NEAR(hot.leakage_current(), 4.0 * ref.leakage_current(),
+                1e-15);
+}
+
+TEST(CapacitorTemperatureTest, ColdReducesLeakage)
+{
+    Capacitor::Config config;
+    config.initial_voltage_v = 3.0;
+    config.temperature_c = 5.0;
+    const Capacitor cold(config);
+    EXPECT_NEAR(cold.effective_k_cap(), config.k_cap / 4.0, 1e-12);
+}
+
+TEST(CapacitorTemperatureTest, SetTemperatureUpdatesLeakage)
+{
+    Capacitor::Config config;
+    config.initial_voltage_v = 3.0;
+    Capacitor cap(config);
+    const double before = cap.leakage_current();
+    cap.set_temperature(35.0);
+    EXPECT_NEAR(cap.leakage_current(), 2.0 * before, 1e-15);
+}
+
+TEST(CapacitorTemperatureDeathTest, RejectsBelowAbsoluteZero)
+{
+    Capacitor cap{Capacitor::Config{}};
+    EXPECT_EXIT(cap.set_temperature(-300.0),
+                ::testing::ExitedWithCode(1), "absolute zero");
 }
 
 }  // namespace

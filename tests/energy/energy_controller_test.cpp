@@ -12,10 +12,10 @@
 namespace chrysalis::energy {
 namespace {
 
-std::unique_ptr<EnergyHarvester>
+SolarPanel
 make_panel(double area_cm2, double k_eh)
 {
-    return std::make_unique<SolarPanel>(
+    return SolarPanel(
         area_cm2,
         std::make_shared<ConstantSolarEnvironment>(k_eh, "test"));
 }
@@ -211,14 +211,6 @@ TEST(EnergyControllerDeathTest, DrainToRejectsBadVoltage)
                 "out of range");
     EXPECT_EXIT(controller.drain_to(99.0), ::testing::ExitedWithCode(1),
                 "out of range");
-}
-
-TEST(EnergyControllerDeathTest, RejectsNullHarvester)
-{
-    EXPECT_EXIT(
-        EnergyController(nullptr, Capacitor(cap_config(100e-6)),
-                         PowerManagementIc{PowerManagementIc::Config{}}),
-        ::testing::ExitedWithCode(1), "harvester");
 }
 
 TEST(EnergyControllerDeathTest, RejectsThresholdAboveRating)

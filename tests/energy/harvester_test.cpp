@@ -1,7 +1,9 @@
 /// \file
-/// Tests for harvester models (Eq. 1: P_eh = A_eh * k_eh).
+/// Tests for the solar panel (Eq. 1: P_eh = A_eh * k_eh).
 
 #include "energy/harvester.hpp"
+
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -38,27 +40,14 @@ INSTANTIATE_TEST_SUITE_P(TableIvRange, SolarPanelScalingTest,
 
 TEST(SolarPanelTest, TracksEnvironmentOverTime)
 {
-    auto env = std::make_shared<TraceSolarEnvironment>(
-        std::vector<double>{0.0, 10.0}, std::vector<double>{0.0, 2e-3});
+    // Default diurnal day: dark until 6 h, peak 2 mW/cm^2 at noon.
+    auto env = std::make_shared<DiurnalSolarEnvironment>(
+        DiurnalSolarEnvironment::Config{});
     SolarPanel panel(5.0, env);
     EXPECT_DOUBLE_EQ(panel.power(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(panel.power(5.0), 5.0 * 1e-3);
-    EXPECT_DOUBLE_EQ(panel.power(10.0), 5.0 * 2e-3);
-}
-
-TEST(SolarPanelTest, SetAreaUpdatesPower)
-{
-    SolarPanel panel(1.0, constant_env(1e-3));
-    panel.set_area_cm2(10.0);
-    EXPECT_DOUBLE_EQ(panel.power(0.0), 10e-3);
-}
-
-TEST(SolarPanelTest, CloneIsDeepEnough)
-{
-    SolarPanel panel(3.0, constant_env(1e-3));
-    auto copy = panel.clone();
-    panel.set_area_cm2(20.0);
-    EXPECT_DOUBLE_EQ(copy->power(0.0), 3e-3);
+    EXPECT_NEAR(panel.power(9.0 * 3600.0), 5.0 * 2e-3 * std::sqrt(0.5),
+                1e-15);
+    EXPECT_DOUBLE_EQ(panel.power(12.0 * 3600.0), 5.0 * 2e-3);
 }
 
 TEST(SolarPanelTest, NameMentionsEnvironment)
@@ -72,33 +61,12 @@ TEST(SolarPanelDeathTest, RejectsNonPositiveArea)
 {
     EXPECT_EXIT(SolarPanel(0.0, constant_env(1e-3)),
                 ::testing::ExitedWithCode(1), "area");
-    SolarPanel panel(1.0, constant_env(1e-3));
-    EXPECT_EXIT(panel.set_area_cm2(-2.0), ::testing::ExitedWithCode(1),
-                "area");
 }
 
 TEST(SolarPanelDeathTest, RejectsNullEnvironment)
 {
     EXPECT_EXIT(SolarPanel(1.0, nullptr), ::testing::ExitedWithCode(1),
                 "environment");
-}
-
-TEST(ThermalHarvesterTest, ConstantPower)
-{
-    ThermalHarvester teg(4.0, 0.5e-3);
-    EXPECT_DOUBLE_EQ(teg.power(0.0), 2e-3);
-    EXPECT_DOUBLE_EQ(teg.power(12345.0), 2e-3);
-    EXPECT_DOUBLE_EQ(teg.area_cm2(), 4.0);
-    EXPECT_EQ(teg.name(), "thermal-teg");
-}
-
-TEST(ThermalHarvesterTest, PolymorphicUseThroughInterface)
-{
-    std::unique_ptr<EnergyHarvester> harvester =
-        std::make_unique<ThermalHarvester>(2.0, 1e-3);
-    EXPECT_DOUBLE_EQ(harvester->power(0.0), 2e-3);
-    auto copy = harvester->clone();
-    EXPECT_DOUBLE_EQ(copy->power(0.0), 2e-3);
 }
 
 }  // namespace

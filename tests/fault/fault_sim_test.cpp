@@ -37,7 +37,7 @@ make_controller(double area_cm2, double k_eh, double cap_f,
     cap.capacitance_f = cap_f;
     cap.initial_voltage_v = v0;
     return energy::EnergyController(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             area_cm2,
             std::make_shared<energy::ConstantSolarEnvironment>(k_eh,
                                                                "test")),

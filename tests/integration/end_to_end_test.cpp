@@ -161,7 +161,7 @@ TEST(EndToEndTest, DiurnalEnvironmentDrivesRepeatedInference)
     cap.capacitance_f = 470e-6;
     cap.initial_voltage_v = 3.5;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             10.0, std::make_shared<energy::DiurnalSolarEnvironment>(
                       env_config)),
         energy::Capacitor(cap),

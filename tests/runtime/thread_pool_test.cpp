@@ -1,15 +1,20 @@
 /// \file
 /// Tests for the runtime thread pool: coverage, ordering guarantees,
-/// exception propagation, nested batches and the serial fallback.
+/// exception propagation, nested batches, span depth across runners and
+/// the serial fallback.
 
 #include "runtime/thread_pool.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/trace.hpp"
 
 namespace chrysalis::runtime {
 namespace {
@@ -130,6 +135,42 @@ TEST(ThreadPoolTest, NestedBatchOnADifferentPoolRunsInline)
         EXPECT_EQ(inner.stats().inline_batches, inner.stats().batches);
     });
     EXPECT_EQ(leaves.load(), 64);
+}
+
+TEST(ThreadPoolTest, RunnersRecordSpansFromTheIssuersDepth)
+{
+    // A task's span nests under the spans open where its batch was
+    // issued, whichever thread runs it; a worker then returns to its own
+    // depth for the next batch.
+    const auto task = [](const char* name) {
+        return [name](std::size_t) {
+            OBS_SPAN(name);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        };
+    };
+    obs::TraceSession session;
+    {
+        obs::ScopedTrace scope(session);
+        ThreadPool pool(4);
+        {
+            OBS_SPAN("issuer");
+            pool.parallel_for(32, task("nested"));
+        }
+        pool.parallel_for(32, task("top"));
+    }
+    int nested = 0;
+    int top = 0;
+    for (const obs::TraceEvent& event : session.merged()) {
+        if (event.name == "nested") {
+            ++nested;
+            EXPECT_EQ(event.depth, 1u) << "tid " << event.tid;
+        } else if (event.name == "top") {
+            ++top;
+            EXPECT_EQ(event.depth, 0u) << "tid " << event.tid;
+        }
+    }
+    EXPECT_EQ(nested, 32);
+    EXPECT_EQ(top, 32);
 }
 
 TEST(ThreadPoolTest, ManyBatchesReuseTheSamePool)

@@ -6,9 +6,12 @@
 /// `threads = hardware_concurrency()` by default.
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include "core/campaign_spec.hpp"
 #include "dnn/model_zoo.hpp"
 #include "evaluation_log.hpp"
+#include "obs/trace.hpp"
 #include "search/bilevel_explorer.hpp"
 #include "search/optimizer.hpp"
 
@@ -398,6 +402,69 @@ TEST(ParallelDeterminismTest, CampaignMatchesSerialAtTwoThreads)
     serial.write_csv(serial_csv, core::CsvColumns::kDeterministic);
     parallel.write_csv(parallel_csv, core::CsvColumns::kDeterministic);
     EXPECT_EQ(serial_csv.str(), parallel_csv.str());
+}
+
+/// Every depth at which \p run recorded each span name, by name.
+template <typename Run>
+std::map<std::string, std::set<std::uint32_t>>
+traced_span_depths(const Run& run)
+{
+    obs::TraceSession session;
+    {
+        obs::ScopedTrace scope(session);
+        run();
+    }
+    std::map<std::string, std::set<std::uint32_t>> depths;
+    for (const obs::TraceEvent& event : session.merged())
+        depths[event.name].insert(event.depth);
+    return depths;
+}
+
+TEST(ParallelDeterminismTest, ExplorerSpanDepthsMatchSerialAtFourThreads)
+{
+    // A pool runner records a task's spans from the depth of the thread
+    // that issued the batch, so search/inner nests under search/explore
+    // and ga/generation whichever thread ran it.
+    const dnn::Model model = dnn::make_simple_conv();
+    const Objective objective{ObjectiveKind::kLatSp, 0.0, 0.0};
+    const auto depths = [&](int threads) {
+        const BiLevelExplorer explorer(model, DesignSpace::existing_aut(),
+                                       objective,
+                                       explorer_options(threads, 1024));
+        return traced_span_depths([&] { explorer.explore(); });
+    };
+    const auto serial = depths(1);
+    ASSERT_EQ(serial.count("search/inner"), 1u);
+    EXPECT_EQ(serial.at("search/inner").size(), 1u);
+    EXPECT_EQ(depths(4), serial);
+}
+
+TEST(ParallelDeterminismTest, CampaignSpanDepthsMatchSerialAtFourThreads)
+{
+    core::CampaignSpec spec;
+    spec.cases = 8;
+    spec.population = 4;
+    spec.generations = 2;
+    const std::vector<core::CampaignCase> cases =
+        core::build_campaign_cases(spec, dnn::make_model(spec.model));
+    std::unique_ptr<fault::FaultInjector> faults;
+    const ExplorerOptions base = core::build_explorer_options(spec, faults);
+    const auto depths = [&](int threads) {
+        core::CampaignOptions campaign_options;
+        campaign_options.threads = threads;
+        return traced_span_depths(
+            [&] { core::run_campaign(cases, base, campaign_options); });
+    };
+    const auto serial = depths(1);
+    std::size_t case_spans = 0;
+    for (const auto& [name, levels] : serial) {
+        if (name.rfind("case:", 0) == 0) {
+            ++case_spans;
+            EXPECT_EQ(levels, (std::set<std::uint32_t>{1})) << name;
+        }
+    }
+    EXPECT_EQ(case_spans, cases.size());
+    EXPECT_EQ(depths(4), serial);
 }
 
 }  // namespace

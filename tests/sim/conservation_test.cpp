@@ -42,7 +42,7 @@ TEST_P(ConservationTest, LedgerNeverCreatesEnergy)
     cap_config.capacitance_f = cap_f;
     cap_config.initial_voltage_v = 3.5;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             panel_cm2,
             std::make_shared<energy::ConstantSolarEnvironment>(2e-3,
                                                                "cons")),
@@ -100,7 +100,7 @@ TEST_P(ConservationTest, ActiveTimeBoundedByLatency)
     cap_config.capacitance_f = cap_f;
     cap_config.initial_voltage_v = 3.5;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             panel_cm2,
             std::make_shared<energy::ConstantSolarEnvironment>(2e-3,
                                                                "cons")),

@@ -52,7 +52,7 @@ TEST_P(CrossValidationTest, SteadyStateLatencyAgreesWithinTolerance)
     energy::Capacitor::Config cap_config = env.capacitor;
     cap_config.initial_voltage_v = env.pmic.v_off;
     energy::EnergyController controller(
-        std::make_unique<energy::SolarPanel>(
+        energy::SolarPanel(
             area_cm2,
             std::make_shared<energy::ConstantSolarEnvironment>(kKeh,
                                                                "cross")),
